@@ -29,9 +29,8 @@ class Frame:
     payload_size: int
     frame_id: int = field(default_factory=lambda: next(_frame_counter))
     #: The sampled :class:`~repro.telemetry.TraceContext` of the flow
-    #: that sent this frame, if any. Stamped by the first (in-flow) hop
-    #: and read by switches so store-and-forward hops — which run as
-    #: their own processes — still attach their spans to the right flow.
+    #: that sent this frame, if any. Stamped by the first (in-flow) hop;
+    #: switch hops run outside the sender and re-enter it for their spans.
     trace: Any = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from repro.common.units import gbps
 from repro.faults import FaultInjector, FaultKind
 from repro.hw.net.frames import Frame
-from repro.sim import Resource, Simulator, Store
+from repro.sim import Simulator, Store
 from repro.telemetry.tracing import NULL_SPAN as _NULL_SPAN
 
 #: 100 Gbit/s in bytes/second.
@@ -24,8 +25,7 @@ class LinkStats:
     """Counters for one link's TX side, including every loss cause.
 
     A read-through snapshot of the link's registry counters (see
-    ``Link.stats``); kept as a plain dataclass so port-level merging and
-    existing call sites work unchanged.
+    ``Link.stats``), kept as a dataclass so ports can merge them.
     """
 
     frames_sent: int = 0
@@ -49,11 +49,15 @@ class LinkStats:
 class Link:
     """A unidirectional link delivering frames into a receive queue.
 
-    The transmitter is a unit-capacity resource, so back-to-back frames
-    serialize at line rate; propagation is pipelined (multiple frames can be
-    in flight). A fault injector attached via :meth:`attach_faults` can drop
-    frames (FRAME_DROP), corrupt them (FRAME_CORRUPT — the receiver's FCS
-    check discards them), or hold the link down for a window (LINK_DOWN).
+    The transmitter is a FIFO in closed form: a frame offered at ``now``
+    departs at ``max(now, free_at) + wire_size / bandwidth`` and arrives
+    ``propagation`` later, so back-to-back frames serialize at line rate
+    while propagation is pipelined. Loss is judged at departure by
+    ``loss_fn`` and by a fault injector attached via :meth:`attach_faults`,
+    which can drop frames (FRAME_DROP), corrupt them (FRAME_CORRUPT — the
+    receiver's FCS check discards them), or hold the link down for a
+    window (LINK_DOWN). Arrivals wake :meth:`receive` or a switch's sink.
+    ``free_at`` is when the transmitter finishes its backlog.
 
     All counters live in the simulator's telemetry registry under this
     link's component path (the same id the fault injector consults).
@@ -82,7 +86,8 @@ class Link:
         self.bandwidth = bandwidth
         self.propagation = propagation
         self.rx_queue: Store = Store(sim)
-        self._tx = Resource(sim, capacity=1)
+        self.free_at = 0.0
+        self._arrive: Callable[[Frame], None] = self.rx_queue.put_nowait
         self._loss_fn = loss_fn
         self.injector = injector
         self.component = component
@@ -103,22 +108,9 @@ class Link:
         self._metrics.rename(component)
         return self
 
-    # -- counter views (legacy attribute API) ---------------------------------
-    @property
-    def frames_sent(self) -> int:
-        return self._frames_sent.value
-
-    @property
-    def frames_dropped(self) -> int:
-        return self._frames_dropped.value
-
-    @property
-    def frames_corrupted(self) -> int:
-        return self._frames_corrupted.value
-
-    @property
-    def bytes_sent(self) -> int:
-        return self._bytes_sent.value
+    def attach_sink(self, sink: Callable[[Frame], None]) -> None:
+        """Hand arriving frames to ``sink(frame)`` instead of the RX queue."""
+        self._arrive = sink
 
     def stats(self) -> LinkStats:
         return LinkStats(
@@ -132,7 +124,9 @@ class Link:
         return frame.wire_size / self.bandwidth
 
     def _fault_outcome(self, frame: Frame) -> Optional[str]:
-        """Consult the injector once per transmitted frame."""
+        """Consult ``loss_fn``, then the injector, once per departing frame."""
+        if self._loss_fn is not None and self._loss_fn(frame):
+            return "drop"
         if self.injector is None:
             return None
         if self.injector.active(self.component, FaultKind.LINK_DOWN):
@@ -144,45 +138,54 @@ class Link:
         return None
 
     def transmit(self, frame: Frame):
-        """Process: serialize the frame, then deliver after propagation."""
+        """Process step: queue the frame, resume once it has departed."""
+        departure, depart = self._enqueue(frame)
+        event = self.sim.at(departure)
+        event.callbacks.append(depart)
+        yield event
+
+    def launch(self, frame: Frame) -> None:
+        """Queue a frame nobody waits on (a switch hop), in its flow."""
+        context = frame.trace
+        if context is None:
+            self.sim.call_at(*self._enqueue(frame))
+            return
+        self._tracer.activate(context)  # the hop's span joins the flow
+        self.sim.call_at(*self._enqueue(frame))
+        self._tracer.activate(None)
+
+    def _enqueue(self, frame: Frame):
         # net.tx is the highest-frequency span site in the system; the
         # attrs dict is only built when tracing is actually on.
+        span = _NULL_SPAN
         tracer = self._tracer
         if tracer.enabled:
             if frame.trace is None:
-                # First hop runs inside the sender's generator: stamp the
-                # active flow onto the frame so downstream switch hops
-                # (separate processes) can rejoin it.
+                # First hop runs inside the sender's flow: stamp it onto
+                # the frame so downstream switch hops can rejoin it.
                 frame.trace = tracer.active_context
             span = tracer.span(
                 self.TX_SPAN, self.TX_SUBSTRATE,
                 component=self.component, bytes=frame.wire_size,
             )
-        else:
-            span = _NULL_SPAN
-        with span:
-            yield self._tx.request()
-            try:
-                yield self.sim.timeout(self.serialization_delay(frame))
-            finally:
-                self._tx.release()
-            self._frames_sent.inc()
-            self._bytes_sent.inc(frame.wire_size)
-            if self._loss_fn is not None and self._loss_fn(frame):
-                self._frames_dropped.inc()
-                return
-            outcome = self._fault_outcome(frame)
-            if outcome == "drop":
-                self._frames_dropped.inc()
-                return
-            if outcome == "corrupt":
-                self._frames_corrupted.inc()
-                return
-        self.sim.process(self._deliver(frame))
+        now = self.sim.now
+        start = self.free_at if self.free_at > now else now
+        self.free_at = start + frame.wire_size / self.bandwidth
+        return self.free_at, partial(self._depart, frame, span)
 
-    def _deliver(self, frame: Frame):
-        yield self.sim.timeout(self.propagation)
-        yield self.rx_queue.put(frame)
+    def _depart(self, frame: Frame, span, _event=None) -> None:
+        self._frames_sent.inc()
+        self._bytes_sent.inc(frame.wire_size)
+        outcome = self._fault_outcome(frame)
+        if outcome == "drop":
+            self._frames_dropped.inc()
+        elif outcome == "corrupt":
+            self._frames_corrupted.inc()
+        if span is not _NULL_SPAN:
+            span.finish()
+        if outcome is None:
+            self.sim.call_at(self.sim.now + self.propagation,
+                             partial(self._arrive, frame))
 
     def receive(self):
         """Event: the next frame out of the receive queue."""

@@ -78,13 +78,7 @@ class NetworkPort:
 
     def send(self, frame: Frame):
         """Process: transmit a frame toward its destination."""
-        link = self._routes.get(frame.dst)
-        if link is None:
-            link = self._routes.get("*")
-        if link is None:
-            raise ConfigurationError(
-                f"port {self.address} has no route to {frame.dst}"
-            )
+        link = self.route(frame.dst)
         self._tx_frames.inc()
         yield from link.transmit(frame)
 

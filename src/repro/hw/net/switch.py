@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
-from typing import Dict, Set, Tuple
+from collections import deque
+from typing import Deque, Dict, Set, Tuple
 
 from repro.common.errors import ConfigurationError
+from repro.hw.net.frames import Frame
 from repro.hw.net.link import DEFAULT_PROPAGATION, QSFP28_100G, Link
 from repro.hw.net.port import NetworkPort
 from repro.sim import Simulator
@@ -18,7 +20,6 @@ class Switch:
 
     def __init__(self, sim: Simulator, forward_latency: float = SWITCH_FORWARD_LATENCY):
         self.sim = sim
-        self._tracer = sim.tracer
         self.forward_latency = forward_latency
         self._egress: Dict[str, Link] = {}
         self._blackholed: Set[str] = set()
@@ -61,30 +62,32 @@ class Switch:
         self._blackholed_pairs.discard((src, dst))
 
     def attach_ingress(self, link: Link) -> None:
-        """Start a forwarding process draining the given ingress link."""
-        self.sim.process(self._forward_loop(link))
+        """Forward frames arriving on ``link`` through a FIFO stage.
 
-    def _forward_loop(self, ingress: Link):
-        while True:
-            frame = yield ingress.receive()
-            yield self.sim.timeout(self.forward_latency)
+        Each frame spends ``forward_latency`` there; the next forward is
+        booked when the previous one completes, which keeps same-time ties
+        in order. Blackholes are checked as a frame leaves the stage."""
+        sim = self.sim
+        backlog: Deque[Frame] = deque()
+
+        def forwarded() -> None:
+            frame = backlog.popleft()
+            if backlog:
+                sim.call_at(sim.now + self.forward_latency, forwarded)
+            egress = self._egress.get(frame.dst)
             if (frame.dst in self._blackholed
                     or (frame.src, frame.dst) in self._blackholed_pairs):
                 self._frames_blackholed.inc()
-                continue
-            egress = self._egress.get(frame.dst)
-            if egress is None:
-                # Unknown destination: drop, as a real switch floods/drops.
-                continue
-            self._frames_forwarded.inc()
-            if frame.trace is not None:
-                # The egress transmit is its own process; re-enter the
-                # sending flow so the hop's span lands in its trace.
-                self.sim.process(
-                    self._tracer.drive(egress.transmit(frame), frame.trace)
-                )
-            else:
-                self.sim.process(egress.transmit(frame))
+            elif egress is not None:  # unknown destinations are dropped
+                self._frames_forwarded.inc()
+                egress.launch(frame)
+
+        def arrive(frame: Frame) -> None:
+            backlog.append(frame)
+            if len(backlog) == 1:
+                sim.call_at(sim.now + self.forward_latency, forwarded)
+
+        link.attach_sink(arrive)
 
 
 class Network:

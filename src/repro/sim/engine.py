@@ -26,6 +26,10 @@ Hot-path design notes (every simulated operation crosses this module):
   ``run()`` inlines the drain loop rather than calling :meth:`step` per
   entry. ``step()`` remains the single-entry API and both share the
   exact pop order.
+* :meth:`Simulator.at` and :meth:`Simulator.call_at` schedule at an
+  *absolute* time, so closed-form models (the network links compute
+  each frame's departure directly) land on exactly the float a chain
+  of timeouts would have produced.
 * Scheduling into the past is rejected (``delay < 0``) — the immediate
   lane's ordering proof needs monotonic time, and a negative delay was
   never meaningful in a causal simulation anyway. (:class:`Timeout`
@@ -53,6 +57,7 @@ class Interrupt(Exception):
 
 
 _PENDING = object()
+_INF = float("inf")
 
 
 class Event:
@@ -413,6 +418,40 @@ class Simulator:
         self._eid = eid = self._eid + 1
         self._imm.append((self.now, eid, None, thunk))
 
+    def _schedule_at(self, when: float, event: Optional[Event],
+                     thunk: Optional[Callable[[], None]]) -> None:
+        """Queue one entry at absolute time *when* (never before ``now``)."""
+        now = self.now
+        if when < now:
+            raise ValueError(f"cannot schedule into the past: {when} < {now}")
+        self._eid = eid = self._eid + 1
+        if when == now:
+            self._imm.append((when, eid, event, thunk))
+        else:
+            heappush(self._heap, (when, eid, event, thunk))
+
+    def at(self, when: float) -> Event:
+        """An event that fires at absolute simulated time *when*.
+
+        Unlike ``timeout(when - now)`` the fire time is exactly *when*,
+        with no subtract-then-add rounding, so a model that computes
+        times in closed form lands on the same float a chain of
+        timeouts would have produced.
+        """
+        event = Event(self)
+        event._value = None
+        event._fire_at = when
+        self._schedule_at(when, event, None)
+        return event
+
+    def call_at(self, when: float, thunk: Callable[[], None]) -> None:
+        """Run ``thunk()`` at absolute simulated time *when*.
+
+        One queue entry and no :class:`Event`: for model-internal steps
+        no process waits on.
+        """
+        self._schedule_at(when, None, thunk)
+
     # -- factories ---------------------------------------------------------
     def event(self) -> Event:
         return Event(self)
@@ -470,47 +509,46 @@ class Simulator:
         """
         imm = self._imm
         heap = self._heap
-        if until is None:
-            # Drain loop with the step body inlined: one call frame per
-            # event saved, identical (when, eid) pop order.
-            while True:
-                if imm:
-                    if heap:
-                        head = heap[0]
-                        first = imm[0]
-                        if head[0] < first[0] or (
-                            head[0] == first[0] and head[1] < first[1]
-                        ):
-                            entry = heappop(heap)
-                        else:
-                            entry = imm.popleft()
+        # Drain loop with the step body inlined: one call frame per event
+        # saved, identical (when, eid) pop order as step().
+        horizon = _INF if until is None else until
+        if self.now > horizon:
+            if imm or heap:
+                self.now = until
+            return
+        while True:
+            # Lane entries sit at ``now``, which never passes the
+            # horizon, so only a heap pop can cross it.
+            if imm:
+                if heap:
+                    head = heap[0]
+                    first = imm[0]
+                    if head[0] < first[0] or (
+                        head[0] == first[0] and head[1] < first[1]
+                    ):
+                        entry = heappop(heap)
                     else:
                         entry = imm.popleft()
-                elif heap:
-                    entry = heappop(heap)
                 else:
-                    return
-                when, __, event, thunk = entry
-                self.now = when
-                if event is None:
-                    thunk()
-                    continue
-                callbacks = event.callbacks
-                event.callbacks = None
-                for callback in callbacks:
-                    callback(event)
-        else:
-            step = self.step
-            while imm or heap:
-                # The lane front (== now) is never later than the heap
-                # head, so it is the next event time when non-empty.
-                when = imm[0][0] if imm else heap[0][0]
-                if when > until:
+                    entry = imm.popleft()
+            elif heap:
+                if heap[0][0] > horizon:
                     self.now = until
                     return
-                step()
-            if until > self.now:
-                self.now = until
+                entry = heappop(heap)
+            else:
+                break
+            when, __, event, thunk = entry
+            self.now = when
+            if event is None:
+                thunk()
+                continue
+            callbacks = event.callbacks
+            event.callbacks = None
+            for callback in callbacks:
+                callback(event)
+        if until is not None and until > self.now:
+            self.now = until
 
     def run_process(self, generator: Generator) -> Any:
         """Convenience: run a generator to completion and return its value."""

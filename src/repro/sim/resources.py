@@ -74,6 +74,19 @@ class Store:
             self._putters.append((event, item))
         return event
 
+    def put_nowait(self, item: Any) -> None:
+        """Deposit *item* without a put event (the store must have room).
+
+        Hands the item straight to the oldest waiting getter, exactly as
+        :meth:`put` does, minus the put event nobody waits on.
+        """
+        if self._getters:
+            self._getters.popleft().succeed(item)
+        elif self.capacity is None or len(self.items) < self.capacity:
+            self.items.append(item)
+        else:
+            raise RuntimeError("put_nowait() on a full store")
+
     def get(self) -> Event:
         event = Event(self.sim)
         if self.items:

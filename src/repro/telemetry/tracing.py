@@ -114,6 +114,10 @@ class Span:
         self.tracer._finish(self)
         return False
 
+    def finish(self) -> None:
+        """Close the span now, as leaving its ``with`` block does."""
+        self.tracer._finish(self)
+
     def __repr__(self) -> str:
         return (
             f"Span({self.name}@{self.substrate}, start={self.start:.9f}, "

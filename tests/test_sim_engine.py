@@ -494,3 +494,62 @@ class TestEngineEdges:
         while sim2._imm or sim2._heap:
             sim2.step()
         assert step_log == run_log
+
+    def test_run_until_slices_match_step_order(self):
+        def schedule(sim, log):
+            def worker(name, delays):
+                for delay in delays:
+                    yield sim.timeout(delay)
+                    log.append((sim.now, name))
+
+            # Same-time heap/lane ties at 0.5, 1.0 and 1.5.
+            sim.process(worker("a", [0.5, 0.0, 0.5, 0.5]))
+            sim.process(worker("b", [0.5, 0.5, 0.0, 0.5]))
+            sim.process(worker("c", [1.0, 0.0, 0.25, 0.25]))
+
+        step_log, slice_log = [], []
+        stepped = Simulator()
+        schedule(stepped, step_log)
+        while stepped._imm or stepped._heap:
+            stepped.step()
+        sliced = Simulator()
+        schedule(sliced, slice_log)
+        for horizon in (0.0, 0.5, 0.75, 1.0, 1.25, 1.5, 10.0):
+            sliced.run(until=horizon)
+            assert sliced.now == horizon
+            assert all(when <= horizon for when, __ in slice_log)
+        assert slice_log == step_log
+
+
+class TestAbsoluteScheduling:
+    def test_at_fires_on_the_exact_time(self):
+        sim = Simulator()
+        fired = []
+
+        def waiter():
+            yield sim.timeout(0.2)
+            # 0.2 + (0.9 - 0.2) rounds to 0.8999999999999999.
+            assert sim.now + (0.9 - sim.now) != 0.9
+            yield sim.at(0.9)
+            fired.append(sim.now)
+
+        sim.run_process(waiter())
+        assert fired == [0.9]
+
+    def test_call_at_runs_thunks_in_scheduling_order(self):
+        sim = Simulator()
+        log = []
+        sim.call_at(1.0, lambda: log.append("first"))
+        sim.timeout(1.0).callbacks.append(lambda __: log.append("timeout"))
+        sim.call_at(1.0, lambda: log.append("second"))
+        sim.call_at(0.0, lambda: log.append("now"))
+        sim.run()
+        assert log == ["now", "first", "timeout", "second"]
+
+    def test_call_at_rejects_the_past(self):
+        sim = Simulator()
+        sim.run(until=1.0)
+        with pytest.raises(ValueError):
+            sim.call_at(0.5, lambda: None)
+        with pytest.raises(ValueError):
+            sim.at(0.5)

@@ -130,6 +130,28 @@ class TestStore:
         sim.run()
         assert got == [0, 1, 2]
 
+    def test_put_nowait_wakes_oldest_getter_then_buffers(self):
+        sim = Simulator()
+        store = Store(sim, capacity=2)
+        got = []
+
+        def consumer(name):
+            item = yield store.get()
+            got.append((name, item))
+
+        sim.process(consumer("first"))
+        sim.process(consumer("second"))
+        sim.run()
+        store.put_nowait("a")
+        store.put_nowait("b")
+        store.put_nowait("c")
+        store.put_nowait("d")
+        sim.run()
+        assert got == [("first", "a"), ("second", "b")]
+        assert list(store.items) == ["c", "d"]
+        with pytest.raises(RuntimeError):
+            store.put_nowait("e")
+
     def test_bounded_put_blocks(self):
         sim = Simulator()
         store = Store(sim, capacity=1)

@@ -15,7 +15,6 @@ from repro.dpu.hyperion import HyperionDpu, BootReport
 from repro.dpu.cluster import (
     DpuKvCluster,
     FailoverKvClient,
-    FailoverStats,
     ReplicatedDpuKvCluster,
     RoutingClient,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "ReplicatedDpuKvCluster",
     "RoutingClient",
     "FailoverKvClient",
-    "FailoverStats",
     "OsShell",
     "SlotScheduler",
     "TenantRequest",

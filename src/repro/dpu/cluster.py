@@ -15,7 +15,6 @@ from typing import Dict, List, Optional, Set
 from repro.common.errors import ConfigurationError, DegradedError
 from repro.overload.breaker import CircuitBreaker, CircuitOpenError
 from repro.sharding.ring import DEFAULT_VNODES, HashRing
-from repro.telemetry import MetricScope
 from repro.hw.net import Network
 from repro.hw.nvme import Namespace, NvmeController
 from repro.sim import Simulator
@@ -179,85 +178,6 @@ class ReplicatedDpuKvCluster(DpuKvCluster):
         return [a for a in self.addresses if a not in self.down]
 
 
-class FailoverStats:
-    """What a failover client observed: successes, failovers, dead ends.
-
-    A facade over telemetry counters; ``marked_down`` stays a plain set of
-    addresses (its size is mirrored into a gauge).
-    """
-
-    def __init__(self, metrics: Optional[MetricScope] = None):
-        self._metrics = (
-            metrics if metrics is not None
-            else MetricScope.standalone("dpu.failover")
-        )
-        self._reads = self._metrics.counter("reads")
-        self._writes = self._metrics.counter("writes")
-        self._failed_ops = self._metrics.counter("failed_ops")
-        # Ops that only succeeded on a non-head replica.
-        self._failovers = self._metrics.counter("failovers")
-        # Individual replica RPCs that timed out or errored.
-        self._replica_failures = self._metrics.counter("replica_failures")
-        self._marked_down_gauge = self._metrics.gauge("marked_down")
-        self.marked_down: Set[str] = _MarkedDownSet(self._marked_down_gauge)
-
-    @property
-    def reads(self) -> int:
-        return self._reads.value
-
-    @reads.setter
-    def reads(self, value: int) -> None:
-        self._reads._set(value)
-
-    @property
-    def writes(self) -> int:
-        return self._writes.value
-
-    @writes.setter
-    def writes(self, value: int) -> None:
-        self._writes._set(value)
-
-    @property
-    def failed_ops(self) -> int:
-        return self._failed_ops.value
-
-    @failed_ops.setter
-    def failed_ops(self, value: int) -> None:
-        self._failed_ops._set(value)
-
-    @property
-    def failovers(self) -> int:
-        return self._failovers.value
-
-    @failovers.setter
-    def failovers(self, value: int) -> None:
-        self._failovers._set(value)
-
-    @property
-    def replica_failures(self) -> int:
-        return self._replica_failures.value
-
-    @replica_failures.setter
-    def replica_failures(self, value: int) -> None:
-        self._replica_failures._set(value)
-
-
-class _MarkedDownSet(set):
-    """A set that mirrors its size into a telemetry gauge."""
-
-    def __init__(self, gauge):
-        super().__init__()
-        self._gauge = gauge
-
-    def add(self, item) -> None:
-        super().add(item)
-        self._gauge.set(len(self))
-
-    def discard(self, item) -> None:
-        super().discard(item)
-        self._gauge.set(len(self))
-
-
 class FailoverKvClient:
     """Client-driven failover over a :class:`ReplicatedDpuKvCluster`.
 
@@ -308,7 +228,17 @@ class FailoverKvClient:
             address: True for address in cluster.addresses
         }
         scope = sim.telemetry.unique_scope(f"dpu.failover.{name}")
-        self.stats = FailoverStats(scope)
+        self._reads = scope.counter("reads")
+        self._writes = scope.counter("writes")
+        self._failed_ops = scope.counter("failed_ops")
+        # Ops that only succeeded on a non-head replica.
+        self._failovers = scope.counter("failovers")
+        # Individual replica RPCs that timed out or errored.
+        self._replica_failures = scope.counter("replica_failures")
+        #: Replicas this client has seen fail; the set's size is mirrored
+        #: into the ``marked_down`` gauge.
+        self.marked_down: Set[str] = set()
+        self._marked_down = scope.gauge("marked_down")
         if breaker_reset_timeout is None:
             breaker_reset_timeout = timeout * 20
         self.breakers: Dict[str, CircuitBreaker] = {
@@ -349,8 +279,9 @@ class FailoverKvClient:
 
     def _mark_down(self, address: str) -> None:
         self.health[address] = False
-        self.stats.marked_down.add(address)
-        self.stats.replica_failures += 1
+        self.marked_down.add(address)
+        self._marked_down.set(len(self.marked_down))
+        self._replica_failures.inc()
 
     # -- health probing ------------------------------------------------------
     def probe(self, address: str):
@@ -406,15 +337,15 @@ class FailoverKvClient:
             self.health[address] = True
             acked += 1
             if position > 0 and acked == 1:
-                self.stats.failovers += 1
+                self._failovers.inc()
         if acked == 0:
-            self.stats.failed_ops += 1
+            self._failed_ops.inc()
             # Zero acks does not mean zero effect: a request may have
             # landed on a replica whose response frame was lost.
             if pending is not None:
                 pending.indeterminate()
             raise DegradedError(f"put {key!r}: no replica reachable ({last_error})")
-        self.stats.writes += 1
+        self._writes.inc()
         if pending is not None:
             pending.ok()
         return acked
@@ -442,12 +373,12 @@ class FailoverKvClient:
                 continue
             self.health[address] = True
             if address != head:
-                self.stats.failovers += 1
-            self.stats.reads += 1
+                self._failovers.inc()
+            self._reads.inc()
             if pending is not None:
                 pending.ok(value)
             return value
-        self.stats.failed_ops += 1
+        self._failed_ops.inc()
         if pending is not None:
             pending.fail()
         raise DegradedError(f"get {key!r}: no replica reachable ({last_error})")
@@ -471,11 +402,11 @@ class FailoverKvClient:
                 continue
             acked += 1
         if acked == 0:
-            self.stats.failed_ops += 1
+            self._failed_ops.inc()
             if pending is not None:
                 pending.indeterminate()
             raise DegradedError(f"delete {key!r}: no replica reachable")
-        self.stats.writes += 1
+        self._writes.inc()
         if pending is not None:
             pending.ok()
         return acked

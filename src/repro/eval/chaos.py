@@ -147,6 +147,9 @@ def _run_storm(
     for device in cluster.devices:
         device.controller.attach_faults(injector)
     client = FailoverKvClient(sim, network, "chaos-client", cluster)
+    replica_failures = sim.telemetry.counter(
+        "dpu.failover.chaos-client.replica_failures"
+    )
     network.port("chaos-client").route().attach_faults(injector, "client.uplink")
 
     outcomes: List[OpOutcome] = []
@@ -193,7 +196,7 @@ def _run_storm(
             key = _key(index % preload)
             started = sim.now
             retransmits_before = client.rpc.retransmits
-            failures_before = client.stats.replica_failures
+            failures_before = replica_failures.value
             try:
                 if index % 2 == 0:
                     yield from client.get(key)
@@ -207,7 +210,7 @@ def _run_storm(
                     started, sim.now, ok,
                     retried=(
                         client.rpc.retransmits > retransmits_before
-                        or client.stats.replica_failures > failures_before
+                        or replica_failures.value > failures_before
                     ),
                 )
             )
@@ -283,7 +286,9 @@ def run_chaos(
         ops_succeeded=len(succeeded),
         ops_failed=len(outcomes) - len(succeeded),
         ops_retried=sum(1 for o in outcomes if o.retried),
-        failovers=client.stats.failovers,
+        failovers=sim.telemetry.counter(
+            "dpu.failover.chaos-client.failovers"
+        ).value,
         availability=len(succeeded) / len(outcomes) if outcomes else 0.0,
         p50_latency=percentile(latencies, 0.50),
         p99_latency=p99,

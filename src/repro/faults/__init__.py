@@ -10,7 +10,6 @@ cluster failover, tiering degradation, ICAP scrubbing — rides through what
 the plan throws at it. E13 (``repro.eval.chaos``) measures the result.
 """
 
-from repro.faults.clock import ManualClock, SimClock
 from repro.faults.injector import FaultInjector, FaultRecord
 from repro.faults.plan import FaultKind, FaultPlan, FaultSpec
 
@@ -20,6 +19,4 @@ __all__ = [
     "FaultSpec",
     "FaultInjector",
     "FaultRecord",
-    "ManualClock",
-    "SimClock",
 ]

@@ -71,9 +71,9 @@ class NetworkPort:
             self.rx_link.stats().frames_delivered
             if self.rx_link is not None else 0
         )
-        # Mirror the derived RX count into the registry so the metric
-        # tree shows it without anyone polling stats().
-        self._rx_frames._set(max(self._rx_frames.value, received))
+        # Mirror the derived RX count into the registry.
+        if received > self._rx_frames.value:
+            self._rx_frames.inc(received - self._rx_frames.value)
         return PortStats(tx=tx, frames_received=received)
 
     def send(self, frame: Frame):

@@ -151,19 +151,6 @@ class NvmeController(PcieDevice):
         self.flash.attach_faults(injector, f"{self.name}.flash")
         return self
 
-    # -- counter views (legacy attribute API) ------------------------------
-    @property
-    def commands_executed(self) -> int:
-        return self._commands_executed.value
-
-    @property
-    def commands_aborted(self) -> int:
-        return self._commands_aborted.value
-
-    @property
-    def media_errors(self) -> int:
-        return self._media_errors.value
-
     def add_namespace(self, namespace: AnyNamespace) -> None:
         self.namespaces[namespace.namespace_id] = namespace
 

@@ -46,6 +46,9 @@ class KvSsd:
         self.lsm = LsmTree(
             memtable_limit=memtable_limit, metrics=self._metrics.scope("lsm")
         )
+        # The tree's own counter (registration is idempotent), which
+        # also counts for the fresh tree recovery builds in this scope.
+        self._lsm_flushes = self._metrics.counter("lsm.flushes")
         self._wal_lba = wal_start_lba
         self._sstable_lba = sstable_start_lba
         self._sstable_extents: List[Tuple[int, int]] = []  # (lba, blocks)
@@ -89,9 +92,9 @@ class KvSsd:
         ):
             yield self.sim.timeout(KV_REQUEST_PROCESSING)
             yield from self._wal_append(key, value, tombstone=False)
-            flushes_before = self.lsm.stats.flushes
+            flushes_before = self._lsm_flushes.value
             self.lsm.put(key, value)
-            if self.lsm.stats.flushes > flushes_before:
+            if self._lsm_flushes.value > flushes_before:
                 yield from self._persist_newest_sstable()
             self._puts.inc()
 

@@ -16,8 +16,9 @@ measurements live:
 
 Every :class:`repro.sim.Simulator` owns a lazily-created registry
 (``sim.telemetry``) and tracer (``sim.tracer``); every substrate model
-emits into them. The legacy ``*Stats`` dataclasses survive as thin
-read-through facades over registry metrics.
+registers its counters there at construction and counts through them.
+The remaining ``*Stats`` dataclasses (``LinkStats``, ``PortStats``,
+``ClusterStats``) are immutable snapshots assembled from the registry.
 
 On top of the in-process plane sit the export-and-watch layers:
 

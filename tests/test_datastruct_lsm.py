@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.common.errors import ProtocolError
 from repro.datastruct import LsmTree, SsTable
+from repro.telemetry import MetricsRegistry
 
 
 class TestSsTable:
@@ -58,18 +59,20 @@ class TestLsmBasics:
         assert lsm.get(b"k") is None
 
     def test_flush_preserves_reads(self):
-        lsm = LsmTree(memtable_limit=1000)
+        registry = MetricsRegistry()
+        lsm = LsmTree(memtable_limit=1000, metrics=registry.scope("lsm"))
         for i in range(100):
             lsm.put(f"key{i:03d}".encode(), f"val{i}".encode())
         lsm.flush()
         assert lsm.get(b"key050") == b"val50"
-        assert lsm.stats.flushes == 1
+        assert registry.counter("lsm.flushes").value == 1
 
     def test_auto_flush_at_limit(self):
-        lsm = LsmTree(memtable_limit=10)
+        registry = MetricsRegistry()
+        lsm = LsmTree(memtable_limit=10, metrics=registry.scope("lsm"))
         for i in range(25):
             lsm.put(f"k{i:02d}".encode(), b"v")
-        assert lsm.stats.flushes >= 2
+        assert registry.counter("lsm.flushes").value >= 2
 
 
 class TestShadowingAndCompaction:
@@ -89,7 +92,10 @@ class TestShadowingAndCompaction:
         assert lsm.get(b"k") is None
 
     def test_compaction_merges_and_drops_tombstones(self):
-        lsm = LsmTree(memtable_limit=1000, l0_limit=2)
+        registry = MetricsRegistry()
+        lsm = LsmTree(
+            memtable_limit=1000, l0_limit=2, metrics=registry.scope("lsm")
+        )
         lsm.put(b"a", b"1")
         lsm.flush()
         lsm.put(b"b", b"2")
@@ -97,7 +103,7 @@ class TestShadowingAndCompaction:
         lsm.flush()
         lsm.put(b"c", b"3")
         lsm.flush()  # exceeds l0_limit -> compacts
-        assert lsm.stats.compactions == 1
+        assert registry.counter("lsm.compactions").value == 1
         assert lsm.l0 == []
         assert lsm.get(b"a") is None
         assert lsm.get(b"b") == b"2"

@@ -19,7 +19,6 @@ from repro.faults import (
     FaultKind,
     FaultPlan,
     FaultSpec,
-    ManualClock,
 )
 from repro.hw.fpga import Bitstream, ConfigScrubber, Fabric, FabricResources, Icap
 from repro.hw.fpga.fabric import MemoryBank
@@ -34,7 +33,7 @@ from repro.memory import (
     SingleLevelStore,
 )
 from repro.memory.tiering import TieringPolicy
-from repro.sim import Simulator
+from repro.sim import ManualClock, Simulator
 
 
 class TestFaultPlan:
@@ -248,7 +247,7 @@ class TestNvmeReadRetry:
         backend's FTL-style retry recovers the data transparently."""
         plan = FaultPlan(seed=2)
         plan.once("bad-read", "ssd.flash", FaultKind.READ_ERROR, at=0.0)
-        sim, controller, backend = faulty_nvme(plan)
+        sim, __, backend = faulty_nvme(plan)
         backend.write(0, b"survives the media error")
 
         def scenario():
@@ -257,7 +256,7 @@ class TestNvmeReadRetry:
 
         assert sim.run_process(scenario()) == b"survives the media error"
         assert backend.retried_reads == 1
-        assert controller.media_errors == 1
+        assert sim.telemetry.counter("ssd.media_errors").value == 1
 
     def test_persistent_errors_exhaust_retries(self):
         plan = FaultPlan(seed=2)
@@ -274,7 +273,7 @@ class TestNvmeReadRetry:
     def test_command_timeout_aborts_after_watchdog(self):
         plan = FaultPlan(seed=2)
         plan.once("hung-cmd", "ssd", FaultKind.COMMAND_TIMEOUT, at=0.0)
-        sim, controller, backend = faulty_nvme(plan)
+        sim, __, backend = faulty_nvme(plan)
         backend.write(0, b"eventually")
 
         def scenario():
@@ -283,7 +282,7 @@ class TestNvmeReadRetry:
 
         data, elapsed = sim.run_process(scenario())
         assert data == b"eventually"  # retried after the abort
-        assert controller.commands_aborted == 1
+        assert sim.telemetry.counter("ssd.commands_aborted").value == 1
         assert elapsed >= 10e-3  # the watchdog latency was paid
 
 
@@ -307,7 +306,7 @@ class TestPcieFaults:
             return clean_sim.now
 
         clean = clean_sim.run_process(clean_transfer())
-        assert link.completion_timeouts == 1
+        assert sim.telemetry.counter("pcie0.completion_timeouts").value == 1
         assert with_fault == pytest.approx(clean + 50e-6)
 
 
@@ -335,10 +334,10 @@ class TestClusterFailover:
 
         values = sim.run_process(scenario())
         assert all(value == b"v" * 32 for value in values)
-        assert client.stats.failed_ops == 0
+        assert sim.telemetry.counter("dpu.failover.client.failed_ops").value == 0
         # Some keys are headed by the dead DPU; those reads failed over.
-        assert client.stats.failovers >= 1
-        assert "kv-dpu-1" in client.stats.marked_down
+        assert sim.telemetry.counter("dpu.failover.client.failovers").value >= 1
+        assert "kv-dpu-1" in client.marked_down
 
     def test_revive_and_probe_restores_health(self):
         sim = Simulator()
@@ -385,9 +384,9 @@ class TestClusterFailover:
         value = sim.run_process(scenario())
         # The op succeeded via the tail replica; nothing was lost.
         assert value == b"payload"
-        assert client.stats.failed_ops == 0
-        assert client.stats.failovers >= 1
-        assert "kv-dpu-0" in client.stats.marked_down
+        assert sim.telemetry.counter("dpu.failover.client.failed_ops").value == 0
+        assert sim.telemetry.counter("dpu.failover.client.failovers").value >= 1
+        assert "kv-dpu-0" in client.marked_down
         # The request direction was never cut: the head replica applied
         # the write even though the client never saw its ack.
         head_value = sim.run_process(cluster.devices[0].get(key))
@@ -499,7 +498,7 @@ class TestTieringDegradation:
             store.read(seg.oid, 8)
         decisions = policy.run_epoch()
         assert decisions == []
-        assert policy.stats.degraded == 1
+        assert sim.telemetry.counter("memory.tiering.degraded").value == 1
         assert store.table.lookup(seg.oid).location is SegmentLocation.NVME
 
     def test_promotion_resumes_after_window(self):

@@ -106,7 +106,7 @@ class TestController:
         completion = sim.run_process(scenario())
         assert completion.ok
         assert completion.data[:11] == b"persistent!"
-        assert ssd.commands_executed == 2
+        assert sim.telemetry.counter("nvme-0.commands_executed").value == 2
 
     def test_read_latency_dominated_by_flash(self):
         sim = Simulator()

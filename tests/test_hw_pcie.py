@@ -52,7 +52,7 @@ class TestPcieLink:
 
         elapsed = sim.run_process(scenario())
         assert elapsed == pytest.approx(link.transfer_latency(4096))
-        assert link.bytes_transferred == 4096
+        assert sim.telemetry.counter("pcie-link.bytes_transferred").value == 4096
 
     def test_transfers_serialize(self):
         sim = Simulator()

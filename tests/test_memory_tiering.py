@@ -132,6 +132,7 @@ class TestDemotion:
         store.read(hot.oid, 4)
         store.read(hot.oid, 4)
         policy.run_epoch()
-        assert policy.stats.epochs == 1
-        assert policy.stats.promotions == 1
-        assert len(policy.stats.decisions) == 1
+        telemetry = store.sim.telemetry
+        assert telemetry.counter("memory.tiering.epochs").value == 1
+        assert telemetry.counter("memory.tiering.promotions").value == 1
+        assert len(policy.decisions) == 1

@@ -1,19 +1,16 @@
-"""Every legacy *Stats facade must keep mirroring the registry while a
-sampler is live on the same registry — sampling is read-only and must
-never perturb (or lag) what the facades report."""
+"""Counters and snapshot facades must keep agreeing with the registry
+while a sampler is live on it — sampling is read-only and must never
+perturb (or lag) what a component counted."""
 
 import pytest
 
-from repro.datastruct.lsm import LsmTree
 from repro.dpu.cluster import (
     DpuKvCluster,
-    FailoverStats,
+    FailoverKvClient,
+    ReplicatedDpuKvCluster,
     RoutingClient,
 )
-from repro.formats.parquet import ReadStats
 from repro.hw.net import Frame, Network
-from repro.memory.store import StoreStats
-from repro.memory.tiering import TieringStats
 from repro.sim import ManualClock, Simulator
 from repro.telemetry import MetricsRegistry, Sampler
 
@@ -30,84 +27,47 @@ def _tick(clock, sampler):
     sampler.sample()
 
 
-class TestScopeBackedFacades:
-    """Facades that hold live counters: mutate, sample, compare."""
+class TestRegistryCounters:
+    """Counters components own, read by path while a sampler runs."""
 
-    def test_store_stats(self):
+    def test_sampling_does_not_perturb_counters(self):
         reg = MetricsRegistry()
         clock = ManualClock()
         sampler = _sampled(reg, clock, "memory.store")
-        stats = StoreStats(reg.scope("memory.store"))
-        stats.allocations += 2
-        stats.reads += 3
-        stats.writes += 1
+        reads = reg.scope("memory.store").counter("reads")
+        reads.inc(3)
         _tick(clock, sampler)
-        assert stats.allocations == \
-            reg.counter("memory.store.allocations").value == 2
+        assert reg.counter("memory.store.reads").value == 3
         assert sampler.series("memory.store.reads").last[1] == 3.0
-        stats.reads += 1  # mutation after sampling still reads through
+        reads.inc()  # counting after a sample is seen at once
         assert reg.counter("memory.store.reads").value == 4
-
-    def test_lsm_stats(self):
-        reg = MetricsRegistry()
-        clock = ManualClock()
-        sampler = _sampled(reg, clock, "lsm")
-        tree = LsmTree(memtable_limit=4, metrics=reg.scope("lsm"))
-        for index in range(16):
-            tree.put(f"k{index:02d}".encode(), b"v")
         _tick(clock, sampler)
-        assert tree.stats.flushes == reg.counter("lsm.flushes").value > 0
-        assert tree.stats.compactions == reg.counter("lsm.compactions").value
-        assert tree.stats.bytes_compacted == \
-            reg.counter("lsm.bytes_compacted").value
-        assert sampler.series("lsm.flushes").last[1] == \
-            float(tree.stats.flushes)
+        assert sampler.series("memory.store.reads").last[1] == 4.0
 
-    def test_failover_stats(self):
-        reg = MetricsRegistry()
-        clock = ManualClock()
-        sampler = _sampled(reg, clock, "dpu.failover")
-        stats = FailoverStats(reg.scope("dpu.failover"))
-        stats.reads += 5
-        stats.failovers += 1
-        stats.replica_failures += 2
-        stats.marked_down.add("kv-dpu-1")
-        _tick(clock, sampler)
-        assert stats.reads == reg.counter("dpu.failover.reads").value == 5
-        assert stats.failovers == \
-            reg.counter("dpu.failover.failovers").value == 1
-        # The marked-down set mirrors its size into a gauge the sampler sees.
-        assert reg.gauge("dpu.failover.marked_down").value == 1.0
-        assert sampler.series("dpu.failover.marked_down").last[1] == 1.0
-        stats.marked_down.discard("kv-dpu-1")
-        assert reg.gauge("dpu.failover.marked_down").value == 0.0
+    def test_failover_client_mirrors_marked_down_into_gauge(self):
+        sim = Simulator()
+        sampler = _sampled(sim.telemetry, sim, "dpu.failover")
+        network = Network(sim)
+        cluster = ReplicatedDpuKvCluster(
+            sim, network, dpu_count=3, replication=2, ssd_blocks=4096
+        )
+        client = FailoverKvClient(sim, network, "client", cluster)
+        gauge = sim.telemetry.gauge("dpu.failover.client.marked_down")
+        assert gauge.value == 0.0
 
-    def test_tiering_stats(self):
-        reg = MetricsRegistry()
-        clock = ManualClock()
-        sampler = _sampled(reg, clock, "memory.tiering")
-        stats = TieringStats(reg.scope("memory.tiering"))
-        stats.epochs += 2
-        stats.promotions += 4
-        stats.demotions += 1
-        _tick(clock, sampler)
-        assert stats.epochs == reg.counter("memory.tiering.epochs").value == 2
-        assert stats.promotions == \
-            reg.counter("memory.tiering.promotions").value == 4
-        assert sampler.series("memory.tiering.demotions").last[1] == 1.0
+        def workload():
+            cluster.kill(1)
+            for __ in range(2):  # marking an address twice counts it once
+                yield from client.probe("kv-dpu-1")
+            sampler.sample()
 
-    def test_read_stats(self):
-        reg = MetricsRegistry()
-        clock = ManualClock()
-        sampler = _sampled(reg, clock, "formats.read")
-        stats = ReadStats(reg.scope("formats.read"))
-        stats.bytes_read += 4096
-        stats.chunks_read += 2
-        stats.row_groups_skipped += 1
-        _tick(clock, sampler)
-        assert stats.bytes_read == \
-            reg.counter("formats.read.bytes_read").value == 4096
-        assert sampler.series("formats.read.bytes_read").last[1] == 4096.0
+        sim.run_process(workload())
+        assert client.marked_down == {"kv-dpu-1"}
+        assert gauge.value == 1.0
+        assert sampler.series("dpu.failover.client.marked_down").last[1] == 1.0
+        assert sim.telemetry.counter(
+            "dpu.failover.client.replica_failures"
+        ).value == 2
 
 
 class TestSnapshotFacades:

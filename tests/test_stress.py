@@ -10,6 +10,7 @@ from repro.hw.net import Network
 from repro.hw.nvme import Namespace, NvmeController
 from repro.sim import Resource, Simulator, Store
 from repro.storage import KvSsd, KvSsdClient, KvSsdService
+from repro.telemetry import MetricsRegistry
 from repro.transport import RpcClient, RpcServer, UdpSocket
 
 
@@ -90,7 +91,8 @@ class TestDataStructureScale:
         assert len(list(tree.range(5_000, 5_100))) == 100
 
     def test_lsm_many_generations(self):
-        lsm = LsmTree(memtable_limit=50, l0_limit=3)
+        registry = MetricsRegistry()
+        lsm = LsmTree(memtable_limit=50, l0_limit=3, metrics=registry.scope("lsm"))
         rng = random.Random(7)
         reference = {}
         for i in range(3_000):
@@ -100,7 +102,7 @@ class TestDataStructureScale:
             reference[key] = value
         for key, value in list(reference.items())[:100]:
             assert lsm.get(key) == value
-        assert lsm.stats.compactions > 5
+        assert registry.counter("lsm.compactions").value > 5
 
 
 class TestConcurrentKvClients:

@@ -4,6 +4,8 @@ import random
 import statistics
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.eval.chaos import run_chaos
@@ -17,6 +19,12 @@ from repro.telemetry import (
     Tracer,
     percentile,
 )
+
+#: Dot-separated metric paths over a tiny alphabet, so parents and
+#: children of one another ("a", "a.b") turn up often.
+_PATHS = st.lists(
+    st.text(alphabet="ab_", min_size=1, max_size=2), min_size=1, max_size=3
+).map(".".join)
 
 
 class TestPercentile:
@@ -106,6 +114,34 @@ class TestRegistry:
         other.counter("a.first").inc(1)
         other.counter("b.second").inc(2)
         assert other.snapshot_bytes() == snap
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        counts=st.dictionaries(
+            _PATHS, st.lists(st.integers(0, 50), max_size=3),
+            min_size=1, max_size=12,
+        ),
+        data=st.data(),
+    )
+    def test_snapshot_independent_of_registration_order(self, counts, data):
+        """Components register their counters at construction, in
+        whatever order they are built; the snapshot must not see it."""
+
+        def snapshot(order, increments):
+            reg = MetricsRegistry()
+            for path in order:
+                reg.counter(path)
+            for path, amount in increments:
+                reg.counter(path).inc(amount)
+            return reg.snapshot_bytes()
+
+        paths = sorted(counts)
+        increments = [(p, n) for p in paths for n in counts[p]]
+        shuffled = snapshot(
+            data.draw(st.permutations(paths)),
+            data.draw(st.permutations(increments)),
+        )
+        assert shuffled == snapshot(paths, increments)
 
     def test_standalone_scopes_are_isolated(self):
         a = MetricScope.standalone("lsm")
@@ -293,21 +329,6 @@ class TestLegacyFacades:
         sim.run_process(send())
         assert a.stats().tx.frames_sent == 1
         assert sim.telemetry.counter("net.link.a.up.frames_sent").value == 1
-
-    def test_store_stats_facade_writes_through(self):
-        from repro.memory.store import StoreStats
-
-        stats = StoreStats()
-        stats.allocations += 2
-        stats.reads += 1
-        assert stats.allocations == 2
-        assert stats.reads == 1
-
-    def test_clock_shim_reexports(self):
-        from repro.faults.clock import ManualClock as Shimmed
-        from repro.sim.clock import ManualClock as Canonical
-
-        assert Shimmed is Canonical
 
 
 class TestDeterministicSnapshots:

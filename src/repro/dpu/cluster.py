@@ -14,7 +14,7 @@ from typing import Dict, List, Optional, Set
 
 from repro.common.errors import ConfigurationError, DegradedError
 from repro.overload.breaker import CircuitBreaker, CircuitOpenError
-from repro.sharding.ring import DEFAULT_VNODES, HashRing
+from repro.sharding.ring import HashRing
 from repro.hw.net import Network
 from repro.hw.nvme import Namespace, NvmeController
 from repro.sim import Simulator
@@ -45,7 +45,7 @@ class DpuKvCluster:
     """
 
     def __init__(self, sim: Simulator, network: Network, dpu_count: int = 4,
-                 ssd_blocks: int = 65536, vnodes: int = DEFAULT_VNODES):
+                 ssd_blocks: int = 65536):
         if dpu_count < 1:
             raise ConfigurationError("need at least one DPU")
         self.sim = sim
@@ -54,7 +54,7 @@ class DpuKvCluster:
         self.addresses: List[str] = []
         self.devices: List[KvSsd] = []
         self.servers: List[RpcServer] = []
-        self.ring = HashRing(vnodes=vnodes)
+        self.ring = HashRing()
         for index in range(dpu_count):
             self._build_dpu(f"kv-dpu-{index}")
 
@@ -174,8 +174,17 @@ class ReplicatedDpuKvCluster(DpuKvCluster):
         self.network.switch.restore(address)
         return address
 
-    def live_addresses(self) -> List[str]:
-        return [a for a in self.addresses if a not in self.down]
+
+#: Per-attempt RPC timeout of a :class:`FailoverKvClient` call.
+FAILOVER_TIMEOUT = 1.5e-3
+#: Retransmissions per replica RPC after the first attempt.
+FAILOVER_RETRIES = 1
+#: Overall budget of one replica RPC, retries included.
+FAILOVER_DEADLINE = 50e-3
+#: Consecutive failed calls that open a replica's circuit.
+FAILOVER_BREAKER_FAILURES = 3
+#: How long an open replica circuit stays open before a trial call.
+FAILOVER_BREAKER_RESET = FAILOVER_TIMEOUT * 20
 
 
 class FailoverKvClient:
@@ -183,10 +192,10 @@ class FailoverKvClient:
 
     The client owns the partition map *and* the health map: replicas that
     time out are marked down and demoted in the read preference order;
-    :meth:`probe` (or a background :meth:`probe_all` sweep) marks them up
-    again. Every RPC carries a timeout, bounded retries with exponential
-    backoff + jitter, and an overall deadline, so a dead DPU costs a few
-    retransmit intervals — never a hung simulation.
+    :meth:`probe` marks them up again. Every RPC carries a timeout,
+    bounded retries with exponential backoff + jitter, and an overall
+    deadline, so a dead DPU costs a few retransmit intervals — never a
+    hung simulation.
 
     Each replica is additionally guarded by a
     :class:`~repro.overload.CircuitBreaker`: after a few consecutive
@@ -202,26 +211,14 @@ class FailoverKvClient:
         network: Network,
         name: str,
         cluster: ReplicatedDpuKvCluster,
-        timeout: float = 1.5e-3,
-        retries: int = 1,
-        deadline: float = 50e-3,
-        policy: Optional[RetryPolicy] = None,
-        breaker_failure_threshold: int = 3,
-        breaker_reset_timeout: Optional[float] = None,
-        history=None,
     ):
         self.sim = sim
         self.cluster = cluster
         self.name = name
-        #: Optional :class:`~repro.verify.HistoryRecorder`: when set,
-        #: every KV op records invoke/outcome for consistency checking.
-        self.history = history
         self.rpc = RpcClient(sim, UdpSocket(sim, network.endpoint(name)))
-        self.timeout = timeout
-        self.retries = retries
-        self.deadline = deadline
-        self.policy = policy if policy is not None else RetryPolicy(
-            base=timeout, multiplier=2.0, max_interval=max(timeout * 8, timeout),
+        self.policy = RetryPolicy(
+            base=FAILOVER_TIMEOUT, multiplier=2.0,
+            max_interval=max(FAILOVER_TIMEOUT * 8, FAILOVER_TIMEOUT),
             jitter=0.1,
         )
         self.health: Dict[str, bool] = {
@@ -239,13 +236,11 @@ class FailoverKvClient:
         #: into the ``marked_down`` gauge.
         self.marked_down: Set[str] = set()
         self._marked_down = scope.gauge("marked_down")
-        if breaker_reset_timeout is None:
-            breaker_reset_timeout = timeout * 20
         self.breakers: Dict[str, CircuitBreaker] = {
             address: CircuitBreaker(
                 sim, scope.scope(f"breaker.{address}"),
-                failure_threshold=breaker_failure_threshold,
-                reset_timeout=breaker_reset_timeout,
+                failure_threshold=FAILOVER_BREAKER_FAILURES,
+                reset_timeout=FAILOVER_BREAKER_RESET,
             )
             for address in cluster.addresses
         }
@@ -260,8 +255,8 @@ class FailoverKvClient:
             result = yield from self.rpc.call(
                 address, method, *args,
                 request_size=request_size, response_size=response_size,
-                timeout=self.timeout, retries=self.retries,
-                deadline=self.deadline, policy=self.policy,
+                timeout=FAILOVER_TIMEOUT, retries=FAILOVER_RETRIES,
+                deadline=FAILOVER_DEADLINE, policy=self.policy,
             )
         except RpcError:
             breaker.record_failure()
@@ -295,7 +290,8 @@ class FailoverKvClient:
         try:
             yield from self.rpc.call(
                 address, "kv.ping", request_size=16, response_size=16,
-                timeout=self.timeout, retries=0, deadline=self.timeout * 2,
+                timeout=FAILOVER_TIMEOUT, retries=0,
+                deadline=FAILOVER_TIMEOUT * 2,
             )
         except RpcError:
             self._mark_down(address)
@@ -305,21 +301,11 @@ class FailoverKvClient:
         breaker.record_success()
         return True
 
-    def probe_all(self):
-        """Process: sweep every DPU once (run periodically by the owner)."""
-        alive = 0
-        for address in self.cluster.addresses:
-            ok = yield from self.probe(address)
-            alive += 1 if ok else 0
-        return alive
-
     # -- the KV surface ------------------------------------------------------
     def put(self, key: bytes, value: bytes):
         """Process: write the replica chain head-to-tail; one ack suffices
         for availability (skipped replicas are marked down for repair)."""
         key, value = bytes(key), bytes(value)
-        pending = (self.history.invoke(self.name, "w", key, value)
-                   if self.history is not None else None)
         acked = 0
         last_error: Optional[RpcError] = None
         for position, address in enumerate(self.cluster.replicas_of(key)):
@@ -340,22 +326,14 @@ class FailoverKvClient:
                 self._failovers.inc()
         if acked == 0:
             self._failed_ops.inc()
-            # Zero acks does not mean zero effect: a request may have
-            # landed on a replica whose response frame was lost.
-            if pending is not None:
-                pending.indeterminate()
             raise DegradedError(f"put {key!r}: no replica reachable ({last_error})")
         self._writes.inc()
-        if pending is not None:
-            pending.ok()
         return acked
 
-    def get(self, key: bytes, expected_value_size: int = 128):
+    def get(self, key: bytes):
         """Process: read from the first live replica, failing over down
         the chain when the preferred one is dead."""
         key = bytes(key)
-        pending = (self.history.invoke(self.name, "r", key)
-                   if self.history is not None else None)
         last_error: Optional[RpcError] = None
         head = self.cluster.replicas_of(key)[0]
         for address in self._ordered_replicas(key):
@@ -363,7 +341,7 @@ class FailoverKvClient:
                 value = yield from self._call(
                     address, "kv.get", key,
                     request_size=32 + len(key),
-                    response_size=expected_value_size,
+                    response_size=128,
                 )
             except CircuitOpenError:
                 continue  # open circuit: fail over instantly, spend nothing
@@ -375,19 +353,13 @@ class FailoverKvClient:
             if address != head:
                 self._failovers.inc()
             self._reads.inc()
-            if pending is not None:
-                pending.ok(value)
             return value
         self._failed_ops.inc()
-        if pending is not None:
-            pending.fail()
         raise DegradedError(f"get {key!r}: no replica reachable ({last_error})")
 
     def delete(self, key: bytes):
         """Process: chain-wide delete (same walk as put)."""
         key = bytes(key)
-        pending = (self.history.invoke(self.name, "d", key)
-                   if self.history is not None else None)
         acked = 0
         for address in self.cluster.replicas_of(key):
             try:
@@ -403,10 +375,6 @@ class FailoverKvClient:
             acked += 1
         if acked == 0:
             self._failed_ops.inc()
-            if pending is not None:
-                pending.indeterminate()
             raise DegradedError(f"delete {key!r}: no replica reachable")
         self._writes.inc()
-        if pending is not None:
-            pending.ok()
         return acked

@@ -27,7 +27,7 @@ from repro.dpu.cluster import FailoverKvClient, ReplicatedDpuKvCluster
 from repro.eval.report import Table
 from repro.faults import FaultInjector, FaultKind, FaultPlan
 from repro.hw.net import Network
-from repro.sim import Simulator
+from repro.sim import Event, Simulator
 from repro.telemetry import (
     Sampler,
     SloMonitor,
@@ -52,6 +52,10 @@ SLO_RULES = (
 #: full causal trace (and may land a latency exemplar), which is enough
 #: to fill the flight recorder without distorting the fast path.
 TRACE_SAMPLE_RATE = 0.125
+
+#: When the storm's DPU outage window closes (simulated seconds): past
+#: the end of any run, so the victim never comes back.
+STORM_HORIZON = 10.0
 
 
 @dataclass
@@ -164,19 +168,14 @@ def _run_storm(
         sampler,
         [SloRule.parse(text, name=name) for name, text in SLO_RULES],
     )
-    done = [False]
+    stop = Event(sim)
     kill_observed = [None]
     preload_end = [0.0]
-
-    def sampling():
-        while not done[0]:
-            yield sim.timeout(sampler.period)
-            sampler.sample()
 
     def controller():
         # The chaos controller: maps NODE_DOWN windows onto switch
         # blackholes, the way a pulled power cable maps onto dead links.
-        while not done[0]:
+        while not stop.triggered:
             yield sim.timeout(0.5e-3)
             for index, address in enumerate(cluster.addresses):
                 down = injector.active(address, FaultKind.NODE_DOWN)
@@ -215,10 +214,10 @@ def _run_storm(
                 )
             )
             op_latency.observe(sim.now - started)
-        done[0] = True
+        stop.succeed()
 
     sim.process(controller())
-    sim.process(sampling())
+    sim.process(sampler.pump(sim, stop))
     sim.run_process(workload())
     return (
         sim, cluster, client, injector, outcomes,
@@ -226,11 +225,12 @@ def _run_storm(
     )
 
 
-def build_storm_plan(seed: int, kill_at: float, horizon: float = 10.0,
+def build_storm_plan(seed: int, kill_at: float,
                      victim: str = "kv-dpu-1") -> FaultPlan:
     """The scripted E13 storm: a dead DPU, a lossy uplink, a bad read."""
     plan = FaultPlan(seed=seed)
-    plan.windowed("dpu-outage", victim, FaultKind.NODE_DOWN, kill_at, horizon)
+    plan.windowed("dpu-outage", victim, FaultKind.NODE_DOWN, kill_at,
+                  STORM_HORIZON)
     plan.probabilistic(
         "lossy-uplink", "client.uplink", FaultKind.FRAME_DROP,
         probability=0.005, max_fires=8,

@@ -24,6 +24,10 @@ from repro.hw.nvme import Namespace, NvmeController
 from repro.sim import Simulator
 
 
+#: Failed logins from one source before it is banned.
+BAN_THRESHOLD = 3
+
+
 @dataclass
 class Fail2BanResult:
     """One system's E3 outcome: verdicts, total time, throughput."""
@@ -36,7 +40,7 @@ class Fail2BanResult:
     throughput_pps: float
 
 
-def run_fail2ban(packet_count: int = 2000, threshold: int = 3,
+def run_fail2ban(packet_count: int = 2000,
                  seed: int = 17) -> List[Fail2BanResult]:
     trace = generate_packet_trace(packet_count, seed=seed)
 
@@ -44,7 +48,7 @@ def run_fail2ban(packet_count: int = 2000, threshold: int = 3,
     sim = Simulator()
     dpu = HyperionDpu(sim, Network(sim), ssd_blocks=65536)
     sim.run_process(dpu.boot())
-    app = Fail2BanDpu(sim, dpu, threshold=threshold)
+    app = Fail2BanDpu(sim, dpu, threshold=BAN_THRESHOLD)
     started = sim.now
 
     def dpu_scenario():
@@ -65,7 +69,7 @@ def run_fail2ban(packet_count: int = 2000, threshold: int = 3,
     ssd = NvmeController(sim, "server-ssd")
     ssd.add_namespace(Namespace(1, 65536))
     datapath = CpuCentricDatapath(sim, cpu, OsModel(sim, cpu), ssd=ssd)
-    baseline = Fail2BanBaseline(sim, datapath, threshold=threshold)
+    baseline = Fail2BanBaseline(sim, datapath, threshold=BAN_THRESHOLD)
     started = sim.now
 
     def baseline_scenario():

@@ -43,8 +43,8 @@ class FigureReport:
         return not self.mismatches and self.end_to_end_path_ok and self.config_path_ok
 
 
-def run_figures(sim: Simulator = None) -> FigureReport:
-    sim = sim if sim is not None else Simulator()
+def run_figures() -> FigureReport:
+    sim = Simulator()
     dpu = HyperionDpu(sim, Network(sim), ssd_blocks=4096)
     sim.run_process(dpu.boot())
     inventory = dpu.inventory()

@@ -36,7 +36,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.common.errors import DegradedError
 from repro.eval.report import Table
@@ -207,8 +207,8 @@ def _keys() -> List[bytes]:
     return [f"key-{index:03d}".encode() for index in range(KEYS)]
 
 
-def _zipf_cdf(n: int, s: float = ZIPF_S) -> List[float]:
-    weights = [1.0 / (rank ** s) for rank in range(1, n + 1)]
+def _zipf_cdf(n: int) -> List[float]:
+    weights = [1.0 / (rank ** ZIPF_S) for rank in range(1, n + 1)]
     total = sum(weights)
     cdf, acc = [], 0.0
     for weight in weights:

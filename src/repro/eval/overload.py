@@ -38,7 +38,7 @@ from repro.overload import (
     Priority,
     QueuePolicy,
 )
-from repro.sim import Simulator
+from repro.sim import Event, Simulator
 from repro.telemetry import Sampler, SloMonitor, SloRule, percentile
 from repro.transport import RetryBudget, RpcClient, RpcError, RpcServer, UdpSocket
 
@@ -169,8 +169,6 @@ def _run_point(
     seed: int,
     multiple: float,
     controlled: bool,
-    service_time: float,
-    duration: float,
 ):
     """One fresh simulation: open-loop arrivals against one RPC server."""
     sim = Simulator()
@@ -181,7 +179,7 @@ def _run_point(
     if controlled:
         admission = AdmissionController(
             sim, sim.telemetry.unique_scope("eval.overload.admission"),
-            rate=1.0 / service_time,
+            rate=1.0 / SERVICE_TIME,
             # A harsh halving oscillates the admitted rate far below
             # capacity; a gentle step keeps it hugging the service rate.
             multiplicative_decrease=0.85,
@@ -220,7 +218,7 @@ def _run_point(
             scale = 0.5 + 0.5 * mode.batch_scale
             if mode.serve_stale:
                 scale *= 0.75
-        yield sim.timeout(service_time * scale)
+        yield sim.timeout(SERVICE_TIME * scale)
         return index
 
     server.register("work", work)
@@ -250,32 +248,27 @@ def _run_point(
             ok = False
         outcomes.append((started, sim.now, ok))
 
-    done = [False]
-
-    def sampling():
-        while not done[0]:
-            yield sim.timeout(sampler.period)
-            sampler.sample()
+    stop = Event(sim)
 
     def aimd_loop():
-        while not done[0]:
+        while not stop.triggered:
             yield sim.timeout(AIMD_PERIOD)
             admission.tick(overloaded=server.queue.saturation >= 1.0)
 
     def arrivals():
         rng = random.Random(f"{seed}/{multiple}/{int(controlled)}")
-        rate = multiple / service_time
+        rate = multiple / SERVICE_TIME
         index = 0
         while True:
             yield sim.timeout(rng.expovariate(rate))
-            if sim.now >= duration:
+            if sim.now >= DURATION:
                 break
             sim.process(one_call(index, _priority_for(index)))
             index += 1
         yield sim.timeout(GRACE)
-        done[0] = True
+        stop.succeed()
 
-    sim.process(sampling())
+    sim.process(sampler.pump(sim, stop))
     if controlled:
         sim.process(aimd_loop())
     sim.run_process(arrivals())
@@ -296,7 +289,7 @@ def _run_point(
         offered=len(outcomes),
         succeeded=len(successes),
         failed=len(outcomes) - len(successes),
-        goodput=len(in_deadline) / duration,
+        goodput=len(in_deadline) / DURATION,
         p50_latency=percentile(latencies, 0.50) if latencies else 0.0,
         p99_latency=percentile(latencies, 0.99) if latencies else 0.0,
         retransmits=client.retransmits,
@@ -313,22 +306,15 @@ def _run_point(
     return point, sim, sampler, monitor, brownout
 
 
-def run_overload(
-    seed: int = 11,
-    multiples: Tuple[float, ...] = LOAD_MULTIPLES,
-    service_time: float = SERVICE_TIME,
-    duration: float = DURATION,
-) -> OverloadReport:
+def run_overload(seed: int = 11) -> OverloadReport:
     uncontrolled: List[OverloadPoint] = []
     controlled: List[OverloadPoint] = []
     top_artifacts = None
-    for multiple in multiples:
-        point, *_ = _run_point(seed, multiple, False, service_time, duration)
+    for multiple in LOAD_MULTIPLES:
+        point, *_ = _run_point(seed, multiple, False)
         uncontrolled.append(point)
-    for multiple in multiples:
-        point, sim, sampler, monitor, brownout = _run_point(
-            seed, multiple, True, service_time, duration
-        )
+    for multiple in LOAD_MULTIPLES:
+        point, sim, sampler, monitor, brownout = _run_point(seed, multiple, True)
         controlled.append(point)
         top_artifacts = (sim, sampler, monitor, brownout)
 
@@ -342,8 +328,8 @@ def run_overload(
     unc_last = uncontrolled[-1].goodput
     return OverloadReport(
         seed=seed,
-        service_time=service_time,
-        duration=duration,
+        service_time=SERVICE_TIME,
+        duration=DURATION,
         uncontrolled=uncontrolled,
         controlled=controlled,
         peak_goodput=peak,

@@ -19,6 +19,10 @@ from repro.hw.net import Network
 from repro.sim import Simulator
 
 
+#: How long each tenant holds its slot once granted (simulated seconds).
+HOLD_TIME = 50e-3
+
+
 @dataclass
 class ReconfigReport:
     """E7 results: reconfiguration latency distribution and utilization."""
@@ -47,7 +51,7 @@ def _tenant_bitstreams(count: int, seed: int = 31):
     return bitstreams
 
 
-def run_reconfig(tenants: int = 12, hold_time: float = 50e-3) -> ReconfigReport:
+def run_reconfig(tenants: int = 12) -> ReconfigReport:
     sim = Simulator()
     dpu = HyperionDpu(sim, Network(sim), ssd_blocks=4096)
     sim.run_process(dpu.boot())
@@ -56,10 +60,10 @@ def run_reconfig(tenants: int = 12, hold_time: float = 50e-3) -> ReconfigReport:
 
     def tenant_lifecycle(index):
         request = scheduler.submit(f"tenant-{index}", bitstreams[index])
-        # Wait until granted, run for hold_time, release.
+        # Wait until granted, run for HOLD_TIME, release.
         while request.granted_at is None:
             yield sim.timeout(1e-3)
-        yield sim.timeout(hold_time)
+        yield sim.timeout(HOLD_TIME)
         scheduler.release(request.slot_index)
 
     def arrivals():

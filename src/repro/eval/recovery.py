@@ -19,6 +19,11 @@ from repro.hw.net import Network
 from repro.sim import Simulator
 
 
+#: Non-durable segments allocated beside the durable ones; none may
+#: survive the power cycle.
+EPHEMERAL_COUNT = 50
+
+
 @dataclass
 class RecoveryPoint:
     """One E11 run: persisted bytes and recovery verdicts at a table size."""
@@ -32,7 +37,7 @@ class RecoveryPoint:
     recovery_time: float
 
 
-def _run_point(durable_count: int, ephemeral_count: int = 50) -> RecoveryPoint:
+def _run_point(durable_count: int) -> RecoveryPoint:
     sim = Simulator()
     dpu = HyperionDpu(sim, Network(sim), ssd_blocks=262144)
     sim.run_process(dpu.boot())
@@ -44,7 +49,7 @@ def _run_point(durable_count: int, ephemeral_count: int = 50) -> RecoveryPoint:
         dpu.store.write(oid, f"durable-{index}".encode())
         durable_oids.append(oid)
     ephemeral_oids = []
-    for index in range(ephemeral_count):
+    for index in range(EPHEMERAL_COUNT):
         segment = dpu.store.allocate(64)
         dpu.store.write(segment.oid, b"ephemeral")
         ephemeral_oids.append(segment.oid)
@@ -71,7 +76,7 @@ def _run_point(durable_count: int, ephemeral_count: int = 50) -> RecoveryPoint:
     ephemeral_gone = all(oid not in twin.store.table for oid in ephemeral_oids)
     return RecoveryPoint(
         durable_segments=durable_count,
-        ephemeral_segments=ephemeral_count,
+        ephemeral_segments=EPHEMERAL_COUNT,
         persist_bytes=persist_bytes,
         recovered_segments=report.recovered_segments,
         data_intact=data_intact,

@@ -26,6 +26,10 @@ from repro.telemetry import chrome_trace_json, prometheus_text
 from repro.transport import RpcClient, RpcServer, UdpSocket
 
 
+#: Puts issued before the traced get: enough to flush SSTables to flash.
+PRELOAD = 8
+
+
 @dataclass
 class TelemetryReport:
     """One traced KV get plus the run's full registry state."""
@@ -43,7 +47,7 @@ class TelemetryReport:
     chrome_trace: str = ""
 
 
-def run_telemetry(preload: int = 8) -> TelemetryReport:
+def run_telemetry() -> TelemetryReport:
     sim = Simulator()
     network = Network(sim)
     # One DPU-attached SSD with a real PCIe link, so reads DMA across it.
@@ -62,7 +66,7 @@ def run_telemetry(preload: int = 8) -> TelemetryReport:
     )
 
     def scenario():
-        for index in range(preload):
+        for index in range(PRELOAD):
             yield from stub.put(f"key:{index:02d}".encode(), b"v" * 64)
         sim.tracer.enable()
         value = yield from stub.get(b"key:03")

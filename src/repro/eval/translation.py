@@ -18,7 +18,6 @@ from typing import List
 
 from repro.eval.report import Table
 from repro.memory.vm import (
-    PAGE_SIZE,
     SEGMENT_LOOKUP_LATENCY,
     VirtualMemoryModel,
 )
@@ -26,6 +25,10 @@ from repro.memory.vm import (
 #: Objects in the segment comparison are this big (so one object spans
 #: many pages — the coarseness argument).
 OBJECT_SIZE = 64 * 1024
+
+
+#: TLB entries of the 4 KiB-page baseline.
+TLB_ENTRIES = 1536
 
 
 @dataclass
@@ -47,13 +50,13 @@ class TranslationPoint:
         return self.page_translation_time / self.segment_translation_time
 
 
-def _measure(working_set_bytes: int, accesses: int, tlb_entries: int,
+def _measure(working_set_bytes: int, accesses: int,
              seed: int) -> TranslationPoint:
     rng = random.Random(seed)
-    vm = VirtualMemoryModel(tlb_entries=tlb_entries)
+    vm = VirtualMemoryModel(tlb_entries=TLB_ENTRIES)
     # Ablation: 2 MiB huge pages (one fewer radix level, TLB reach x512,
     # but typically far fewer huge-TLB entries).
-    huge = VirtualMemoryModel(tlb_entries=max(32, tlb_entries // 48),
+    huge = VirtualMemoryModel(tlb_entries=max(32, TLB_ENTRIES // 48),
                               levels=3, page_size=2 << 20)
     page_time = 0.0
     huge_time = 0.0
@@ -78,12 +81,9 @@ def _measure(working_set_bytes: int, accesses: int, tlb_entries: int,
 def run_translation(
     working_sets=(1 << 20, 4 << 20, 16 << 20, 64 << 20, 256 << 20),
     accesses: int = 20_000,
-    tlb_entries: int = 1536,
     seed: int = 9,
 ) -> List[TranslationPoint]:
-    return [
-        _measure(ws, accesses, tlb_entries, seed) for ws in working_sets
-    ]
+    return [_measure(ws, accesses, seed) for ws in working_sets]
 
 
 def format_translation(points: List[TranslationPoint]) -> str:

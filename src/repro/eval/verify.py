@@ -41,9 +41,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import DegradedError
+from repro.eval.georep import PRIMARY, REGIONS, WAN
 from repro.eval.report import Table
 from repro.faults import FaultInjector, FaultKind, FaultPlan
-from repro.georep import Consistency, GeoCluster, GeoKvClient, WanSpec
+from repro.georep import Consistency, GeoCluster, GeoKvClient
 from repro.hw.net import Network
 from repro.sharding import ShardedKvClient, ShardedKvCluster, ShardMigrator
 from repro.sim import Simulator
@@ -89,17 +90,8 @@ SHARD_RETRIES = 0
 MIGRATION_TIMEOUT = 2e-3
 MIGRATION_RETRIES = 64
 
-#: Geo-stack scenario (mirrors E17's WAN shape).
-REGIONS = ("r1", "r2", "r3")
-PRIMARY = "r1"
-WAN = (
-    WanSpec("r1", "r2", propagation=3.0e-3),
-    WanSpec("r2", "r1", propagation=4.0e-3),
-    WanSpec("r1", "r3", propagation=5.0e-3),
-    WanSpec("r3", "r1", propagation=5.5e-3),
-    WanSpec("r2", "r3", propagation=4.0e-3),
-    WanSpec("r3", "r2", propagation=4.5e-3),
-)
+#: Geo-stack scenario: E17's regions, primary and WAN shape
+#: (``REGIONS``, ``PRIMARY``, ``WAN`` from :mod:`repro.eval.georep`).
 GEO_KEYS = 8
 GEO_T_START = 0.02
 GEO_T_END = 0.30
@@ -605,7 +597,7 @@ def _planted_mode(plan: FaultPlan,
     )
 
 
-def _run_planted(seed: int, shrink_budget: int) -> PlantedReport:
+def _run_planted(seed: int) -> PlantedReport:
     plan = primary_kill_plan(seed, REGIONS, PRIMARY, PB_T_KILL, PB_T_HEAL)
     outcomes = [
         _planted_mode(plan, mode, seed)
@@ -619,7 +611,7 @@ def _run_planted(seed: int, shrink_budget: int) -> PlantedReport:
         )
         return not check_history(run.history).ok
 
-    shrunk = shrink_plan(plan, violates, max_runs=shrink_budget)
+    shrunk = shrink_plan(plan, violates, max_runs=SHRINK_BUDGET)
 
     # Replay the minimal plan twice: the violation must reproduce with
     # byte-identical histories (the determinism the shrink relied on).
@@ -661,21 +653,15 @@ def _run_planted(seed: int, shrink_budget: int) -> PlantedReport:
 # entry points
 # ---------------------------------------------------------------------------
 
-def run_verify(
-    seed: int = 23,
-    *,
-    shard_schedules: int = SHARD_SCHEDULES,
-    geo_schedules: int = GEO_SCHEDULES,
-    shrink_budget: int = SHRINK_BUDGET,
-) -> VerifyReport:
+def run_verify(seed: int = 23) -> VerifyReport:
     """Run the chaos search and the planted-bug demonstration (E19)."""
     schedules: List[ScheduleVerdict] = []
-    for index in range(shard_schedules):
+    for index in range(SHARD_SCHEDULES):
         schedules.append(_run_sharded_schedule(seed, index))
     for mode in (Consistency.QUORUM, Consistency.SYNC):
-        for index in range(geo_schedules):
+        for index in range(GEO_SCHEDULES):
             schedules.append(_run_geo_schedule(seed, index, mode))
-    planted = _run_planted(seed, shrink_budget)
+    planted = _run_planted(seed)
     return VerifyReport(
         seed=seed,
         schedules=schedules,

@@ -36,6 +36,10 @@ CALL_RETRIES = 1
 CALL_DEADLINE = 30e-3
 #: Pause between full preference-order walks that all failed.
 ROUND_PAUSE = 10e-3
+#: Consecutive failed calls that open a region's circuit.
+BREAKER_FAILURES = 2
+#: How long an open region circuit stays open before a trial call.
+BREAKER_RESET = 25e-3
 
 
 class GeoKvClient:
@@ -74,12 +78,9 @@ class GeoKvClient:
         retries: int = CALL_RETRIES,
         deadline: float = CALL_DEADLINE,
         rounds: int = 3,
-        round_pause: float = ROUND_PAUSE,
         stale_bound: float = 50e-3,
         brownout: Optional[BrownoutController] = None,
         retry_budget: Optional[RetryBudget] = None,
-        breaker_failures: int = 2,
-        breaker_reset: float = 25e-3,
         history=None,
     ):
         self.sim = sim
@@ -98,7 +99,6 @@ class GeoKvClient:
         self.retries = retries
         self.deadline = deadline
         self.rounds = rounds
-        self.round_pause = round_pause
         self.stale_bound = stale_bound
         self.brownout = brownout
         #: Region ops are currently routed to (sticky across failovers).
@@ -112,8 +112,8 @@ class GeoKvClient:
         self.breakers: Dict[str, CircuitBreaker] = {
             region: CircuitBreaker(
                 sim, self._metrics.scope(f"breaker.{region}"),
-                failure_threshold=breaker_failures,
-                reset_timeout=breaker_reset,
+                failure_threshold=BREAKER_FAILURES,
+                reset_timeout=BREAKER_RESET,
             )
             for region in self.preference
         }
@@ -195,7 +195,7 @@ class GeoKvClient:
                 self._settle(region, first, attempts, write)
                 return region, result
             if round_index + 1 < self.rounds:
-                yield self.sim.timeout(self.round_pause)
+                yield self.sim.timeout(ROUND_PAUSE)
         self._failed.inc()
         raise DegradedError(
             f"geo {method} failed in every region after {attempts} attempts"

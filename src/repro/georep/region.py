@@ -31,11 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigurationError
 from repro.georep.log import Consistency, LogEntry, ReplicationLog
-from repro.georep.wan import (
-    DEFAULT_WAN_BANDWIDTH,
-    DEFAULT_WAN_PROPAGATION,
-    WanFabric,
-)
+from repro.georep.wan import DEFAULT_WAN_PROPAGATION, WanFabric
 from repro.hw.net import Network
 from repro.overload import CircuitBreaker
 from repro.sharding import ShardedKvClient, ShardedKvCluster
@@ -56,6 +52,14 @@ SHIP_HEARTBEAT = 5e-3
 SHIP_TIMEOUT = 15e-3
 SHIP_RETRIES = 1
 SHIP_DEADLINE = 35e-3
+#: Consecutive failed ships that open a shipper's circuit.
+SHIP_BREAKER_FAILURES = 2
+#: How long an open shipper circuit stays open before a trial ship.
+SHIP_BREAKER_RESET = 25e-3
+#: DPUs in each region's sharded cluster.
+REGION_DPUS = 2
+#: Flash blocks per DPU namespace in each region's cluster.
+REGION_SSD_BLOCKS = 4096
 
 
 class LogShipper:
@@ -74,26 +78,11 @@ class LogShipper:
         region: "Region",
         peer: str,
         peer_address: str,
-        *,
-        interval: float = SHIP_INTERVAL,
-        batch: int = SHIP_BATCH,
-        heartbeat: float = SHIP_HEARTBEAT,
-        timeout: float = SHIP_TIMEOUT,
-        retries: int = SHIP_RETRIES,
-        deadline: float = SHIP_DEADLINE,
-        breaker_failures: int = 2,
-        breaker_reset: float = 25e-3,
     ):
         self.sim = sim
         self.region = region
         self.peer = peer
         self.peer_address = peer_address
-        self.interval = interval
-        self.batch = batch
-        self.heartbeat = heartbeat
-        self.timeout = timeout
-        self.retries = retries
-        self.deadline = deadline
         self.shipped = 0
         self.stopped = False
         self._last_ship = sim.now
@@ -107,7 +96,8 @@ class LogShipper:
         )
         self.breaker = CircuitBreaker(
             sim, self._metrics.scope("breaker"),
-            failure_threshold=breaker_failures, reset_timeout=breaker_reset,
+            failure_threshold=SHIP_BREAKER_FAILURES,
+            reset_timeout=SHIP_BREAKER_RESET,
         )
         self._batches = self._metrics.counter("batches")
         self._entries = self._metrics.counter("entries")
@@ -140,17 +130,17 @@ class LogShipper:
     def _run(self):
         while not self.stopped:
             caught_up = self.region.log.head <= self.shipped
-            if caught_up and self.sim.now - self._last_ship < self.heartbeat:
+            if caught_up and self.sim.now - self._last_ship < SHIP_HEARTBEAT:
                 wake = Event(self.sim)
                 self.region._ship_wakes.append(wake)
-                yield self.sim.any_of([wake, self.sim.timeout(self.interval)])
+                yield self.sim.any_of([wake, self.sim.timeout(SHIP_INTERVAL)])
                 self._update_lag()
                 continue
             if not self.breaker.allow():
                 self._update_lag()
-                yield self.sim.timeout(self.interval)
+                yield self.sim.timeout(SHIP_INTERVAL)
                 continue
-            entries = self.region.log.since(self.shipped, self.batch)
+            entries = self.region.log.since(self.shipped, SHIP_BATCH)
             # Freshness the peer may claim after applying this batch: if
             # the batch drains the log we vouch for "now", otherwise only
             # through the last shipped entry's stamp.
@@ -180,7 +170,7 @@ class LogShipper:
                 self.breaker.record_failure()
                 self._failures.inc()
                 self._update_lag()
-                yield self.sim.timeout(self.interval)
+                yield self.sim.timeout(SHIP_INTERVAL)
                 continue
             self.breaker.record_success()
             self._last_ship = self.sim.now
@@ -205,8 +195,8 @@ class LogShipper:
                 self.peer_address, "repl.ship",
                 self.region.name, tuple(entries), through,
                 request_size=size, response_size=24,
-                timeout=self.timeout, retries=self.retries,
-                deadline=self.deadline,
+                timeout=SHIP_TIMEOUT, retries=SHIP_RETRIES,
+                deadline=SHIP_DEADLINE,
             )
         return acked
 
@@ -220,11 +210,11 @@ class Region:
             registers its own internal :class:`~repro.hw.net.Network`).
         name: region name; prefixes every internal address
             (``{name}-dpu-N``, gateway ``{name}-gw``).
-        dpu_count: DPUs in the region's sharded cluster.
         consistency: peer-ack mode writes wait for (see
             :class:`~repro.georep.log.Consistency`).
-        ssd_blocks / queue_capacity / workers: forwarded to the
-            region's :class:`~repro.sharding.ShardedKvCluster`.
+
+    The region's :class:`~repro.sharding.ShardedKvCluster` has
+    :data:`REGION_DPUS` DPUs of :data:`REGION_SSD_BLOCKS` blocks each.
     """
 
     def __init__(
@@ -233,11 +223,7 @@ class Region:
         fabric: WanFabric,
         name: str,
         *,
-        dpu_count: int = 2,
         consistency: Consistency = Consistency.ASYNC,
-        ssd_blocks: int = 4096,
-        queue_capacity: Optional[int] = None,
-        workers: int = 2,
     ):
         self.sim = sim
         self.fabric = fabric
@@ -245,8 +231,8 @@ class Region:
         self.consistency = consistency
         self.network = fabric.add_region(name, Network(sim))
         self.cluster = ShardedKvCluster(
-            sim, self.network, dpu_count=dpu_count, ssd_blocks=ssd_blocks,
-            queue_capacity=queue_capacity, workers=workers, name=name,
+            sim, self.network, dpu_count=REGION_DPUS,
+            ssd_blocks=REGION_SSD_BLOCKS, name=name,
         )
         self.store = ShardedKvClient(sim, self.cluster, name=f"{name}-gw")
         self.address = f"{name}-gw"
@@ -284,7 +270,7 @@ class Region:
         self.server.register("repl.ship", self._repl_ship)
 
     # -- peering --------------------------------------------------------------
-    def add_peer(self, name: str, address: str, **shipper_kwargs) -> LogShipper:
+    def add_peer(self, name: str, address: str) -> LogShipper:
         """Start replicating to the peer region at *address*."""
         if name == self.name or name in self.peers:
             raise ConfigurationError(f"bad peer {name!r} for {self.name!r}")
@@ -292,7 +278,7 @@ class Region:
         self.fresh_through[name] = self.sim.now
         self.applied_from[name] = 0
         self.peer_acked[name] = 0
-        shipper = LogShipper(self.sim, self, name, address, **shipper_kwargs)
+        shipper = LogShipper(self.sim, self, name, address)
         self.shippers[name] = shipper
         self.fabric.refresh()
         return shipper
@@ -473,7 +459,6 @@ class WanSpec:
     src: str
     dst: str
     propagation: float = DEFAULT_WAN_PROPAGATION
-    bandwidth: float = DEFAULT_WAN_BANDWIDTH
 
 
 class GeoCluster:
@@ -488,8 +473,6 @@ class GeoCluster:
         consistency: ack mode for every region's writes.
         injector: optional fault injector the WAN links consult (for
             :meth:`~repro.faults.FaultPlan.wan_partition` windows).
-        dpu_count / region_kwargs: forwarded to each :class:`Region`.
-        shipper_kwargs: forwarded to every :class:`LogShipper`.
     """
 
     def __init__(
@@ -500,9 +483,6 @@ class GeoCluster:
         wan: Sequence[WanSpec] = (),
         consistency: Consistency = Consistency.ASYNC,
         injector=None,
-        dpu_count: int = 2,
-        shipper_kwargs: Optional[dict] = None,
-        **region_kwargs,
     ):
         if len(names) < 2:
             raise ConfigurationError("a geo cluster needs >= 2 regions")
@@ -511,25 +491,20 @@ class GeoCluster:
         self.regions: Dict[str, Region] = {}
         for name in names:
             self.regions[name] = Region(
-                sim, self.fabric, name, dpu_count=dpu_count,
-                consistency=consistency, **region_kwargs,
+                sim, self.fabric, name, consistency=consistency,
             )
         specified = {(spec.src, spec.dst) for spec in wan}
         for spec in wan:
             self.fabric.connect(spec.src, spec.dst,
-                                bandwidth=spec.bandwidth,
                                 propagation=spec.propagation)
         for src in names:
             for dst in names:
                 if src != dst and (src, dst) not in specified:
                     self.fabric.connect(src, dst)
-        shipper_kwargs = shipper_kwargs or {}
         for src in names:
             for dst in names:
                 if src != dst:
-                    self.regions[src].add_peer(
-                        dst, self.regions[dst].address, **shipper_kwargs,
-                    )
+                    self.regions[src].add_peer(dst, self.regions[dst].address)
         self.fabric.refresh()
 
     def region(self, name: str) -> Region:

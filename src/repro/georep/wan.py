@@ -214,12 +214,6 @@ class WanFabric:
         self.refresh()
         return port
 
-    def region_of(self, address: str) -> Optional[str]:
-        for region, network in self.regions.items():
-            if address in network._ports:
-                return region
-        return None
-
     # -- partitions -----------------------------------------------------------
     def partition(self, src: str, dst: str, *, symmetric: bool = False) -> None:
         """Partition ``src -> dst`` (and the reverse when *symmetric*)."""
@@ -233,7 +227,7 @@ class WanFabric:
         if symmetric:
             self.partition(dst, src)
 
-    def heal(self, src: str, dst: str, *, symmetric: bool = False) -> None:
+    def heal(self, src: str, dst: str) -> None:
         self.link(src, dst).heal()
         self.events.append((self.sim.now, "heal", src, dst))
         self._heals.inc()
@@ -241,8 +235,6 @@ class WanFabric:
             self._recorder.record(
                 "wan", f"wan heal {src}->{dst} at={self.sim.now!r}"
             )
-        if symmetric:
-            self.heal(dst, src)
 
     def isolate(self, region: str) -> None:
         """Full region loss: partition every link into and out of *region*."""

@@ -60,9 +60,6 @@ class AxiStreamInterconnect:
                 return window, address - window.base
         raise ConfigurationError(f"bus address {address:#x} is unmapped")
 
-    def target_for(self, address: int) -> Any:
-        return self.route(address)[0].target
-
     @property
     def ranges(self) -> List[AddressRange]:
         return list(self._ranges)

@@ -117,32 +117,27 @@ class Fabric:
 
     def __init__(
         self,
-        total: FabricResources = ALVEO_U280,
         num_slots: int = 5,
         shell_fraction: float = 0.25,
-        memory_banks: Optional[List[MemoryBank]] = None,
         metrics: Optional[MetricScope] = None,
     ):
         if not 0 < shell_fraction < 1:
             raise ConfigurationError("shell_fraction must be in (0, 1)")
         if num_slots < 1:
             raise ConfigurationError("need at least one slot")
-        self.total = total
-        self.shell = total.scaled(shell_fraction)
+        self.shell = ALVEO_U280.scaled(shell_fraction)
         # A fabric has no simulator of its own: slot counters live either
         # under an owner-provided scope (the DPU's central registry) or in
         # a private standalone one.
         self.metrics = metrics if metrics is not None else MetricScope.standalone("fpga")
-        slot_budget = total.scaled((1.0 - shell_fraction) / num_slots)
+        slot_budget = ALVEO_U280.scaled((1.0 - shell_fraction) / num_slots)
         self.slots = [
             ReconfigurableSlot(
                 i, slot_budget, metrics=self.metrics.scope(f"slot{i}")
             )
             for i in range(num_slots)
         ]
-        self.memory_banks = (
-            memory_banks if memory_banks is not None else u280_memory_banks()
-        )
+        self.memory_banks = u280_memory_banks()
 
     @property
     def dram(self) -> MemoryBank:
@@ -180,10 +175,10 @@ class Fabric:
         return {
             "device": "alveo-u280",
             "slots": len(self.slots),
-            "luts": self.total.luts,
-            "brams": self.total.brams,
-            "urams": self.total.urams,
-            "dsps": self.total.dsps,
+            "luts": ALVEO_U280.luts,
+            "brams": ALVEO_U280.brams,
+            "urams": ALVEO_U280.urams,
+            "dsps": ALVEO_U280.dsps,
             "memory_banks": [bank.name for bank in self.memory_banks],
             "dram_bytes": sum(
                 bank.capacity for bank in self.memory_banks if "ddr" in bank.name

@@ -39,15 +39,8 @@ class ReconfigurationRecord:
 class Icap:
     """The (single) configuration port; reconfigurations serialize here."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        bandwidth: float = ICAP_BANDWIDTH,
-        setup_latency: float = ICAP_SETUP_LATENCY,
-    ):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.bandwidth = bandwidth
-        self.setup_latency = setup_latency
         self._port = Resource(sim, capacity=1)
         self.history: List[ReconfigurationRecord] = []
         self._metrics = sim.telemetry.unique_scope("fpga.icap")
@@ -61,7 +54,7 @@ class Icap:
 
     def reconfiguration_latency(self, bitstream: Bitstream) -> float:
         """Pure configuration time for one bitstream (no queueing)."""
-        return self.setup_latency + bitstream.size_bytes / self.bandwidth
+        return ICAP_SETUP_LATENCY + bitstream.size_bytes / ICAP_BANDWIDTH
 
     def load(
         self,

@@ -18,9 +18,8 @@ SWITCH_FORWARD_LATENCY = 500e-9
 class Switch:
     """Forwards frames between attached links by destination address."""
 
-    def __init__(self, sim: Simulator, forward_latency: float = SWITCH_FORWARD_LATENCY):
+    def __init__(self, sim: Simulator):
         self.sim = sim
-        self.forward_latency = forward_latency
         self._egress: Dict[str, Link] = {}
         self._blackholed: Set[str] = set()
         self._blackholed_pairs: Set[Tuple[str, str]] = set()
@@ -46,9 +45,6 @@ class Switch:
     def restore(self, address: str) -> None:
         self._blackholed.discard(address)
 
-    def is_blackholed(self, address: str) -> bool:
-        return address in self._blackholed
-
     def blackhole_pair(self, src: str, dst: str) -> None:
         """Silently drop frames from ``src`` to ``dst`` (one direction only).
 
@@ -64,7 +60,7 @@ class Switch:
     def attach_ingress(self, link: Link) -> None:
         """Forward frames arriving on ``link`` through a FIFO stage.
 
-        Each frame spends ``forward_latency`` there; the next forward is
+        Each frame spends :data:`SWITCH_FORWARD_LATENCY` there; the next forward is
         booked when the previous one completes, which keeps same-time ties
         in order. Blackholes are checked as a frame leaves the stage."""
         sim = self.sim
@@ -73,7 +69,7 @@ class Switch:
         def forwarded() -> None:
             frame = backlog.popleft()
             if backlog:
-                sim.call_at(sim.now + self.forward_latency, forwarded)
+                sim.call_at(sim.now + SWITCH_FORWARD_LATENCY, forwarded)
             egress = self._egress.get(frame.dst)
             if (frame.dst in self._blackholed
                     or (frame.src, frame.dst) in self._blackholed_pairs):
@@ -85,7 +81,7 @@ class Switch:
         def arrive(frame: Frame) -> None:
             backlog.append(frame)
             if len(backlog) == 1:
-                sim.call_at(sim.now + self.forward_latency, forwarded)
+                sim.call_at(sim.now + SWITCH_FORWARD_LATENCY, forwarded)
 
         link.attach_sink(arrive)
 
@@ -101,11 +97,9 @@ class Network:
     def __init__(
         self,
         sim: Simulator,
-        bandwidth: float = QSFP28_100G,
         propagation: float = DEFAULT_PROPAGATION,
     ):
         self.sim = sim
-        self.bandwidth = bandwidth
         self.propagation = propagation
         self.switch = Switch(sim)
         self._ports: Dict[str, NetworkPort] = {}
@@ -115,11 +109,11 @@ class Network:
             return self._ports[address]
         port = NetworkPort(self.sim, address)
         uplink = Link(
-            self.sim, self.bandwidth, self.propagation,
+            self.sim, QSFP28_100G, self.propagation,
             component=f"net.link.{address}.up",
         )
         downlink = Link(
-            self.sim, self.bandwidth, self.propagation,
+            self.sim, QSFP28_100G, self.propagation,
             component=f"net.link.{address}.down",
         )
         port.add_route("*", uplink)
@@ -137,8 +131,8 @@ class Network:
     def one_way_delay(self, payload_size: int) -> float:
         """Analytic minimum latency endpoint-to-endpoint for one frame."""
         wire = payload_size + 38
-        serialization = 2 * (wire / self.bandwidth)
-        return serialization + 2 * self.propagation + self.switch.forward_latency
+        serialization = 2 * (wire / QSFP28_100G)
+        return serialization + 2 * self.propagation + SWITCH_FORWARD_LATENCY
 
     def min_rtt(self, request_size: int, response_size: int) -> float:
         """Analytic minimum request/response round trip."""

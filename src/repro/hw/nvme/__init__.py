@@ -6,14 +6,13 @@ formats above it round-trip) and charges realistic flash timing through
 per-die queueing.
 """
 
-from repro.hw.nvme.flash import FlashTiming, FlashArray
+from repro.hw.nvme.flash import FlashArray
 from repro.hw.nvme.commands import NvmeCommand, NvmeCompletion, NvmeOpcode, NvmeStatus
 from repro.hw.nvme.controller import NvmeController, NvmeQueuePair
 from repro.hw.nvme.namespace import Namespace, LBA_SIZE
 from repro.hw.nvme.zns import Zone, ZonedNamespace, ZoneState
 
 __all__ = [
-    "FlashTiming",
     "FlashArray",
     "NvmeCommand",
     "NvmeCompletion",

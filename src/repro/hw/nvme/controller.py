@@ -115,24 +115,22 @@ class NvmeController(PcieDevice):
         self,
         sim: Simulator,
         name: str,
-        namespaces: Optional[Dict[int, AnyNamespace]] = None,
         flash: Optional[FlashArray] = None,
         link: Optional[PcieLink] = None,
         queue_depth: int = 256,
-        injector: Optional[FaultInjector] = None,
         queue_policy: Optional[QueuePolicy] = None,
     ):
         super().__init__(name, bars=[Bar(16 * 1024)])
         self.sim = sim
-        self.namespaces: Dict[int, AnyNamespace] = namespaces or {}
+        self.namespaces: Dict[int, AnyNamespace] = {}
         self.flash = flash if flash is not None else FlashArray(
-            sim, injector=injector, component=f"{name}.flash"
+            sim, component=f"{name}.flash"
         )
         self.link = link
         self.queue_pairs: List[NvmeQueuePair] = []
         self._queue_depth = queue_depth
         self._queue_policy = queue_policy
-        self.injector = injector
+        self.injector: Optional[FaultInjector] = None
         self._metrics = sim.telemetry.unique_scope(name)
         self._commands_executed = self._metrics.counter("commands_executed")
         self._commands_aborted = self._metrics.counter("commands_aborted")

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.common.errors import ConfigurationError, FaultInjectedError
@@ -14,15 +13,13 @@ from repro.sim import Resource, Simulator
 STUCK_BUSY_PENALTY = 2e-3
 
 
-@dataclass(frozen=True)
-class FlashTiming:
-    """Timing parameters of one NAND generation (TLC-class defaults)."""
-
-    page_size: int = 4096
-    read_latency: float = 80e-6
-    program_latency: float = 500e-6
-    erase_latency: float = 3e-3
-    channel_bandwidth: float = 800e6  # ONFI transfer rate, bytes/s
+# Timing of one NAND generation (TLC-class).
+FLASH_PAGE_SIZE = 4096
+FLASH_READ_LATENCY = 80e-6
+FLASH_PROGRAM_LATENCY = 500e-6
+FLASH_ERASE_LATENCY = 3e-3
+#: ONFI transfer rate, bytes/s.
+FLASH_CHANNEL_BANDWIDTH = 800e6
 
 
 class FlashArray:
@@ -38,14 +35,11 @@ class FlashArray:
         sim: Simulator,
         channels: int = 8,
         dies_per_channel: int = 4,
-        timing: FlashTiming = FlashTiming(),
-        injector: Optional[FaultInjector] = None,
         component: str = "flash",
     ):
         if channels < 1 or dies_per_channel < 1:
             raise ConfigurationError("need at least one channel and die")
         self.sim = sim
-        self.timing = timing
         self.channels = channels
         self.dies_per_channel = dies_per_channel
         self._dies: List[Resource] = [
@@ -54,7 +48,7 @@ class FlashArray:
         self._channels: List[Resource] = [
             Resource(sim, capacity=1) for _ in range(channels)
         ]
-        self.injector = injector
+        self.injector: Optional[FaultInjector] = None
         self.component = component
         self._metrics = sim.telemetry.unique_scope(component)
         self._reads = self._metrics.counter("reads")
@@ -88,7 +82,7 @@ class FlashArray:
         return die_index % self.channels
 
     def _transfer_time(self) -> float:
-        return self.timing.page_size / self.timing.channel_bandwidth
+        return FLASH_PAGE_SIZE / FLASH_CHANNEL_BANDWIDTH
 
     def read_page(self, page_index: int):
         """Process: one page read (array cell read + channel transfer).
@@ -99,7 +93,7 @@ class FlashArray:
         die_index = self._die_for_page(page_index)
         yield self._dies[die_index].request()
         try:
-            yield self.sim.timeout(self.timing.read_latency + self._stuck_penalty())
+            yield self.sim.timeout(FLASH_READ_LATENCY + self._stuck_penalty())
         finally:
             self._dies[die_index].release()
         if self.injector is not None and self.injector.fires(
@@ -129,7 +123,7 @@ class FlashArray:
         yield self._dies[die_index].request()
         try:
             yield self.sim.timeout(
-                self.timing.program_latency + self._stuck_penalty()
+                FLASH_PROGRAM_LATENCY + self._stuck_penalty()
             )
             self._programs.inc()
         finally:
@@ -140,6 +134,6 @@ class FlashArray:
         die_index = self._die_for_page(page_index)
         yield self._dies[die_index].request()
         try:
-            yield self.sim.timeout(self.timing.erase_latency)
+            yield self.sim.timeout(FLASH_ERASE_LATENCY)
         finally:
             self._dies[die_index].release()

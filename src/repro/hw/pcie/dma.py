@@ -22,11 +22,9 @@ class DmaEngine:
         sim: Simulator,
         link: PcieLink,
         channels: int = 4,
-        setup_latency: float = DMA_SETUP_LATENCY,
     ):
         self.sim = sim
         self.link = link
-        self.setup_latency = setup_latency
         self._channels = Resource(sim, capacity=channels)
         self._metrics = sim.telemetry.unique_scope(f"{link.component}.dma")
         self._copies_completed = self._metrics.counter("copies_completed")
@@ -40,7 +38,7 @@ class DmaEngine:
         with self.sim.tracer.span("pcie.dma", "pcie", bytes=size_bytes):
             yield self._channels.request()
             try:
-                yield self.sim.timeout(self.setup_latency)
+                yield self.sim.timeout(DMA_SETUP_LATENCY)
                 yield from self.link.transfer(size_bytes)
                 self._copies_completed.inc()
             finally:

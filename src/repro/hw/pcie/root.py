@@ -94,8 +94,3 @@ class RootComplex:
                 if bar.base is not None and bar.base <= address < bar.base + bar.size:
                     return record.device
         raise ConfigurationError(f"MMIO address {address:#x} claimed by no BAR")
-
-    @property
-    def mmio_window(self) -> Tuple[int, int]:
-        """``(base, end)`` of all assigned MMIO space."""
-        return self.mmio_base, self._next_mmio

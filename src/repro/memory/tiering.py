@@ -26,6 +26,10 @@ from repro.memory.store import SingleLevelStore
 from repro.overload.breaker import CircuitBreaker
 from repro.overload.queues import BoundedQueue, QueuePolicy
 
+#: DRAM segments touched at most this often in an epoch may be demoted.
+COLD_THRESHOLD = 0
+#: Hot candidates the promotion backlog holds before it sheds the oldest.
+PROMOTION_QUEUE_CAPACITY = 64
 
 @dataclass
 class TieringDecision:
@@ -59,19 +63,16 @@ class TieringPolicy:
         self,
         store: SingleLevelStore,
         hot_threshold: int = 8,
-        cold_threshold: int = 0,
         dram_high_watermark: float = 0.9,
         prefer_hbm: bool = False,
         max_moves_per_epoch: int = 16,
         injector: Optional[FaultInjector] = None,
         component: str = "tiering",
-        promotion_queue_capacity: int = 64,
         breaker_failure_threshold: int = 3,
         breaker_reset_timeout: float = 100e-3,
     ):
         self.store = store
         self.hot_threshold = hot_threshold
-        self.cold_threshold = cold_threshold
         self.dram_high_watermark = dram_high_watermark
         self.prefer_hbm = prefer_hbm and store.hbm is not None
         self.max_moves_per_epoch = max_moves_per_epoch
@@ -90,7 +91,7 @@ class TieringPolicy:
         #: Hot candidates awaiting a move-budget slot: (segment, accesses).
         self.promotion_queue = BoundedQueue(
             store.sim, self._metrics.scope("queue"),
-            promotion_queue_capacity, policy=QueuePolicy.FIFO,
+            PROMOTION_QUEUE_CAPACITY, policy=QueuePolicy.FIFO,
             on_drop=self._on_queue_drop,
         )
         self._queued: Set[ObjectId] = set()
@@ -127,15 +128,6 @@ class TieringPolicy:
         return not self.injector.active(
             f"{self.component}.{tier.value}", FaultKind.BACKEND_DOWN
         )
-
-    def _fast_tier(self) -> Optional[SegmentLocation]:
-        """The best *available* promotion target, degrading HBM -> DRAM ->
-        stay-on-flash as backends fault out."""
-        preferred = SegmentLocation.HBM if self.prefer_hbm else SegmentLocation.DRAM
-        for tier in dict.fromkeys((preferred, SegmentLocation.DRAM)):
-            if self._tier_up(tier):
-                return tier
-        return None
 
     def _promotion_target(self):
         """The best tier that is fault-free *and* whose breaker admits an
@@ -217,7 +209,7 @@ class TieringPolicy:
             for segment in candidates:
                 if moves >= self.max_moves_per_epoch:
                     break
-                if self._epoch_accesses(segment) > self.cold_threshold:
+                if self._epoch_accesses(segment) > COLD_THRESHOLD:
                     break  # sorted: the rest are warmer
                 self.store.promote(segment.oid, SegmentLocation.NVME)
                 decisions.append(

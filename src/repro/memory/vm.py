@@ -64,13 +64,8 @@ class TlbModel:
 class PageTableModel:
     """A radix page table: a miss costs ``levels`` dependent memory reads."""
 
-    def __init__(
-        self,
-        levels: int = WALK_LEVELS,
-        access_latency: float = WALK_ACCESS_LATENCY,
-    ):
+    def __init__(self, levels: int = WALK_LEVELS):
         self.levels = levels
-        self.access_latency = access_latency
         self.walks = 0
 
     def walk(self) -> TranslationResult:
@@ -78,7 +73,7 @@ class PageTableModel:
         return TranslationResult(
             hit=False,
             memory_accesses=self.levels,
-            latency=self.levels * self.access_latency,
+            latency=self.levels * WALK_ACCESS_LATENCY,
         )
 
 
@@ -98,12 +93,6 @@ class VirtualMemoryModel:
         if self.tlb.lookup(vaddr):
             return TranslationResult(hit=True, memory_accesses=0, latency=0.0)
         return self.page_table.walk()
-
-    def total_cost(self) -> float:
-        """Cumulative translation latency so far."""
-        return self.page_table.walks * self.page_table.levels * (
-            self.page_table.access_latency
-        )
 
 
 def segment_translation_result() -> TranslationResult:

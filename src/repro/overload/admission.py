@@ -78,11 +78,11 @@ class TokenBucket:
         """Fill fraction in [0, 1]."""
         return self.tokens / self.capacity
 
-    def try_take(self, cost: float = 1.0) -> bool:
-        """Take *cost* tokens if available; ``False`` means the caller sheds."""
+    def try_take(self) -> bool:
+        """Take one token if available; ``False`` means the caller sheds."""
         self._refill()
-        if self._tokens >= cost:
-            self._tokens -= cost
+        if self._tokens >= 1.0:
+            self._tokens -= 1.0
             return True
         return False
 
@@ -113,7 +113,6 @@ class AdmissionController:
         max_rate: Optional[float] = None,
         additive_increase: float = 0.05,
         multiplicative_decrease: float = 0.5,
-        shed_thresholds: Optional[Dict[Priority, float]] = None,
     ):
         if not 0 < multiplicative_decrease < 1:
             raise ConfigurationError(
@@ -131,9 +130,6 @@ class AdmissionController:
         #: (so the climb-back speed does not depend on the current rate).
         self.additive_increase = additive_increase
         self.multiplicative_decrease = multiplicative_decrease
-        self.shed_thresholds = dict(
-            SHED_THRESHOLDS if shed_thresholds is None else shed_thresholds
-        )
         self._overloaded_this_window = False
         self._rate_gauge = metrics.gauge("rate")
         self._tokens_gauge = metrics.gauge("tokens")
@@ -160,11 +156,10 @@ class AdmissionController:
         return self._shed[priority].value
 
     # -- the decision ----------------------------------------------------
-    def admit(self, priority: Priority = Priority.USER,
-              cost: float = 1.0) -> bool:
+    def admit(self, priority: Priority = Priority.USER) -> bool:
         """Admit or shed one request of the given class."""
-        threshold = self.shed_thresholds.get(priority, 0.0)
-        if self.bucket.level < threshold or not self.bucket.try_take(cost):
+        threshold = SHED_THRESHOLDS.get(priority, 0.0)
+        if self.bucket.level < threshold or not self.bucket.try_take():
             self._shed[priority].inc()
             self._tokens_gauge.set(self.bucket._tokens)
             return False

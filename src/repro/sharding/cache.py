@@ -57,12 +57,12 @@ class HotKeyCache:
         clock: anything exposing ``now`` (usually the simulator).
         capacity: maximum resident entries; LRU eviction beyond it.
         lease: seconds (simulated) a fill may be trusted.
-        metrics: telemetry scope for ``hits/misses/...`` counters; a
-            standalone ``cache`` scope when omitted.
+
+    The ``hits/misses/...`` counters live in a standalone ``cache``
+    scope.
     """
 
-    def __init__(self, clock, capacity: int = 128, lease: float = 5e-3,
-                 metrics: Optional[MetricScope] = None):
+    def __init__(self, clock, capacity: int = 128, lease: float = 5e-3):
         if capacity < 1:
             raise ConfigurationError("cache capacity must be >= 1")
         if lease <= 0:
@@ -71,10 +71,7 @@ class HotKeyCache:
         self.capacity = capacity
         self.lease = lease
         self._entries: "OrderedDict[bytes, CacheEntry]" = OrderedDict()
-        metrics = (
-            metrics if metrics is not None
-            else MetricScope.standalone("cache")
-        )
+        metrics = MetricScope.standalone("cache")
         self._hits = metrics.counter("hits")
         self._misses = metrics.counter("misses")
         self._lease_expired = metrics.counter("lease_expired")
@@ -153,15 +150,3 @@ class HotKeyCache:
         if self._entries.pop(key, None) is not None:
             self._invalidated.inc()
             self._size.set(len(self._entries))
-
-    def invalidate_epoch(self, before: int) -> int:
-        """Eagerly drop every entry filled under an epoch older than
-        *before*; returns how many were dropped. (Lazy per-lookup epoch
-        checks make this optional — it just reclaims space sooner.)"""
-        stale = [k for k, e in self._entries.items() if e.epoch < before]
-        for key in stale:
-            del self._entries[key]
-            self._epoch_invalidated.inc()
-        if stale:
-            self._size.set(len(self._entries))
-        return len(stale)

@@ -98,7 +98,7 @@ class ShardedKvClient:
         return self._round_trips.value
 
     # -- single-key ops --------------------------------------------------------
-    def get(self, key: bytes, *, priority: int = 0):
+    def get(self, key: bytes):
         """Process: read one key (cache → owner DPU), returns the value."""
         key = bytes(key)
         epoch = self.cluster.epoch
@@ -115,8 +115,8 @@ class ShardedKvClient:
             value = yield from self.rpc.call(
                 owner, "kv.get", key,
                 request_size=32 + len(key), response_size=128,
-                priority=priority, timeout=self.timeout,
-                retries=self.retries, deadline=self.deadline,
+                timeout=self.timeout, retries=self.retries,
+                deadline=self.deadline,
             )
         except RpcError:
             if pending is not None:
@@ -130,7 +130,7 @@ class ShardedKvClient:
             pending.ok(value)
         return value
 
-    def put(self, key: bytes, value: bytes, *, priority: int = 0):
+    def put(self, key: bytes, value: bytes):
         """Process: write one key to its owner; invalidates the cache."""
         key, value = bytes(key), bytes(value)
         owner = self.cluster.owner_of(key)
@@ -140,8 +140,8 @@ class ShardedKvClient:
             yield from self.rpc.call(
                 owner, "kv.put", key, value,
                 request_size=32 + len(key) + len(value), response_size=16,
-                priority=priority, timeout=self.timeout,
-                retries=self.retries, deadline=self.deadline,
+                timeout=self.timeout, retries=self.retries,
+                deadline=self.deadline,
             )
         except RpcError:
             # The request (or only its ack) may have been lost: the
@@ -157,7 +157,7 @@ class ShardedKvClient:
             pending.ok()
         return True
 
-    def delete(self, key: bytes, *, priority: int = 0):
+    def delete(self, key: bytes):
         """Process: delete one key at its owner; invalidates the cache."""
         key = bytes(key)
         owner = self.cluster.owner_of(key)
@@ -167,8 +167,8 @@ class ShardedKvClient:
             yield from self.rpc.call(
                 owner, "kv.delete", key,
                 request_size=32 + len(key), response_size=16,
-                priority=priority, timeout=self.timeout,
-                retries=self.retries, deadline=self.deadline,
+                timeout=self.timeout, retries=self.retries,
+                deadline=self.deadline,
             )
         except RpcError:
             if pending is not None:
@@ -215,7 +215,7 @@ class ShardedKvClient:
         if errors:
             raise errors[0]
 
-    def get_many(self, keys: Iterable[bytes], *, priority: int = 0):
+    def get_many(self, keys: Iterable[bytes]):
         """Process: read many keys with batched, owner-grouped RPCs.
 
         Returns values aligned with *keys* (``None`` for absent keys).
@@ -241,9 +241,7 @@ class ShardedKvClient:
                         response_size=128)
                 for p in chunk
             ]
-            responses = yield from self.rpc.call_batch(
-                owner, ops, priority=priority,
-            )
+            responses = yield from self.rpc.call_batch(owner, ops)
             self._round_trips.inc()
             for p, response in zip(chunk, responses):
                 if not response.ok:
@@ -267,8 +265,7 @@ class ShardedKvClient:
         self._ops.inc(len(keys))
         return values
 
-    def put_many(self, pairs: Iterable[Tuple[bytes, bytes]], *,
-                 priority: int = 0):
+    def put_many(self, pairs: Iterable[Tuple[bytes, bytes]]):
         """Process: write many pairs with batched, owner-grouped RPCs."""
         pairs = [(bytes(k), bytes(v)) for k, v in pairs]
 
@@ -280,9 +277,7 @@ class ShardedKvClient:
                         response_size=16)
                 for p in chunk
             ]
-            responses = yield from self.rpc.call_batch(
-                owner, ops, priority=priority,
-            )
+            responses = yield from self.rpc.call_batch(owner, ops)
             self._round_trips.inc()
             for p, response in zip(chunk, responses):
                 if not response.ok:

@@ -26,7 +26,7 @@ from repro.hw.net import Network
 from repro.hw.nvme import Namespace, NvmeController
 from repro.overload.admission import Priority
 from repro.overload.queues import QueuePolicy
-from repro.sharding.ring import DEFAULT_VNODES, HashRing
+from repro.sharding.ring import HashRing
 from repro.sim import Event, Simulator
 from repro.storage.kvssd import KvSsd
 from repro.telemetry.tracing import NULL_SPAN
@@ -114,11 +114,6 @@ class ShardForwarder:
     def forwarded_ops(self) -> int:
         """Ops proxied to another DPU because the key was handed off."""
         return self._forwarded.value
-
-    @property
-    def keys_handed_off(self) -> int:
-        """Keys this DPU has migrated away."""
-        return self._keys_handed_off.value
 
     # -- the locked, forwarding kv surface -----------------------------------
     def _route(self, key: bytes):
@@ -273,7 +268,6 @@ class ShardedKvCluster:
         network: the shared star network.
         dpu_count: initial members (more can join live via the migrator).
         ssd_blocks: flash capacity per DPU namespace.
-        vnodes: virtual nodes per DPU on the hash ring.
         queue_capacity: per-DPU RPC queue bound (``None`` = unbounded
             dispatch); with a bound, ``workers`` run-to-completion
             workers drain it — the wimpy-core service model E16 scales.
@@ -296,7 +290,7 @@ class ShardedKvCluster:
     """
 
     def __init__(self, sim: Simulator, network: Network, dpu_count: int = 4,
-                 ssd_blocks: int = 16384, vnodes: int = DEFAULT_VNODES,
+                 ssd_blocks: int = 16384,
                  queue_capacity: Optional[int] = None, workers: int = 2,
                  queue_policy: QueuePolicy = QueuePolicy.FIFO,
                  codel_target: float = 5e-3, codel_interval: float = 10e-3,
@@ -319,7 +313,7 @@ class ShardedKvCluster:
         self.queue_policy = queue_policy
         self.codel_target = codel_target
         self.codel_interval = codel_interval
-        self.ring = HashRing(vnodes=vnodes)
+        self.ring = HashRing()
         #: Monotonic routing-topology version; bumped by the migrator.
         self.epoch = 1
         self.addresses: List[str] = []

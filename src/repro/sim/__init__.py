@@ -6,7 +6,7 @@ yield :class:`Event` objects (timeouts, resource grants, store gets) and are
 resumed when those events fire.
 """
 
-from repro.sim.clock import ManualClock, SimClock
+from repro.sim.clock import ManualClock
 from repro.sim.engine import (
     AllOf,
     AnyOf,
@@ -29,5 +29,4 @@ __all__ = [
     "Resource",
     "Store",
     "ManualClock",
-    "SimClock",
 ]

@@ -21,6 +21,9 @@ from repro.hw.nvme.controller import NvmeController
 from repro.sim import Simulator
 from repro.transport.rpc import RpcClient, RpcError, RpcServer
 
+#: Flash blocks each log entry occupies.
+BLOCKS_PER_ENTRY = 1
+
 
 class CorfuSequencer:
     """Issues log positions; one RPC per append."""
@@ -30,9 +33,9 @@ class CorfuSequencer:
         server.register("corfu.next", self._next)
         server.register("corfu.tail", self._tail)
 
-    def _next(self, count: int = 1) -> int:
+    def _next(self) -> int:
         position = self._next_position
-        self._next_position += count
+        self._next_position += 1
         return position
 
     def _tail(self) -> int:
@@ -54,13 +57,11 @@ class CorfuLogUnit:
         server: RpcServer,
         controller: NvmeController,
         namespace_id: int = 1,
-        blocks_per_entry: int = 1,
         use_zone_append: bool = False,
     ):
         self.sim = sim
         self.controller = controller
         self.namespace_id = namespace_id
-        self.blocks_per_entry = blocks_per_entry
         self.use_zone_append = use_zone_append
         self.qp = controller.create_queue_pair()
         controller.start()
@@ -111,7 +112,7 @@ class CorfuLogUnit:
                 raise ProtocolError("zone append failed: namespace full")
         else:
             lba = self._next_lba
-            self._next_lba += self.blocks_per_entry
+            self._next_lba += BLOCKS_PER_ENTRY
             completion = yield self.qp.submit(
                 NvmeCommand(
                     NvmeOpcode.WRITE,
@@ -135,7 +136,7 @@ class CorfuLogUnit:
                 NvmeOpcode.READ,
                 namespace_id=self.namespace_id,
                 lba=lba,
-                block_count=self.blocks_per_entry,
+                block_count=BLOCKS_PER_ENTRY,
             )
         )
         if not completion.ok:
@@ -177,14 +178,14 @@ class CorfuClient:
         self.appends += 1
         return position
 
-    def read(self, position: int, entry_size: int = 4096):
+    def read(self, position: int):
         """Process: read from the first live replica."""
         last_error: Optional[Exception] = None
         for unit in self.log_units:
             try:
                 data = yield from self.client.call(
                     unit, "corfu.read", position,
-                    request_size=24, response_size=entry_size,
+                    request_size=24, response_size=4096,
                 )
                 return data
             except RpcError as exc:

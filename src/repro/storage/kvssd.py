@@ -22,6 +22,9 @@ from repro.transport.rpc import RpcClient, RpcServer
 #: the processing a one-sided RDMA read of a cached value bypasses.
 KV_REQUEST_PROCESSING = 2e-6
 
+#: Most pairs one range scan returns.
+SCAN_LIMIT = 100
+
 
 class KvSsd:
     """The device-level KV engine bound to one NVMe controller."""
@@ -121,13 +124,13 @@ class KvSsd:
         self.lsm.delete(key)
         return True
 
-    def scan(self, start: bytes, end: bytes, limit: int = 100):
-        """Process: ordered range scan."""
+    def scan(self, start: bytes, end: bytes):
+        """Process: ordered range scan of at most :data:`SCAN_LIMIT` pairs."""
         results = []
         for key, value in self.lsm.items():
             if start <= key < end:
                 results.append((key, value))
-                if len(results) >= limit:
+                if len(results) >= SCAN_LIMIT:
                     break
         # One flash read per SSTable run touched by the scan.
         for _ in range(len(self.lsm.l0) + (1 if self.lsm.l1 else 0)):
@@ -236,10 +239,10 @@ class KvSsdClient:
         self.client = client
         self.target = target_address
 
-    def get(self, key: bytes, expected_value_size: int = 128):
+    def get(self, key: bytes):
         value = yield from self.client.call(
             self.target, "kv.get", bytes(key),
-            request_size=32 + len(key), response_size=expected_value_size,
+            request_size=32 + len(key), response_size=128,
         )
         return value
 
@@ -255,9 +258,9 @@ class KvSsdClient:
             request_size=32 + len(key), response_size=16,
         )
 
-    def scan(self, start: bytes, end: bytes, limit: int = 100):
+    def scan(self, start: bytes, end: bytes):
         results = yield from self.client.call(
-            self.target, "kv.scan", bytes(start), bytes(end), limit,
-            request_size=64, response_size=limit * 64,
+            self.target, "kv.scan", bytes(start), bytes(end),
+            request_size=64, response_size=SCAN_LIMIT * 64,
         )
         return results

@@ -111,11 +111,10 @@ class RemoteFsClient:
         self.client = client
         self.server = server_address
 
-    def read(self, path: str, offset: int = 0, length: Optional[int] = None,
-             expected_size: int = 4096):
+    def read(self, path: str, offset: int = 0, length: Optional[int] = None):
         data = yield from self.client.call(
             self.server, "fs.read", path, offset, length,
-            request_size=64 + len(path), response_size=expected_size,
+            request_size=64 + len(path), response_size=4096,
         )
         return data
 

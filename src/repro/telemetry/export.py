@@ -44,14 +44,12 @@ __all__ = [
     "PromSample",
     "trace_events",
     "chrome_trace_json",
-    "distributed_trace_events",
-    "distributed_chrome_trace_json",
 ]
 
 _UNSAFE = re.compile(r"[^a-zA-Z0-9_]")
 
 
-def _family_names(paths: List[str], prefix: str) -> Dict[str, str]:
+def _family_names(paths: List[str]) -> Dict[str, str]:
     """Deterministic path -> Prometheus family name, collision-free.
 
     ``dpu0.net.port0.rx_frames`` becomes ``repro_dpu0_net_port0_rx_frames``;
@@ -61,7 +59,7 @@ def _family_names(paths: List[str], prefix: str) -> Dict[str, str]:
     names: Dict[str, str] = {}
     used: Dict[str, int] = {}
     for path in paths:
-        base = prefix + _UNSAFE.sub("_", path)
+        base = "repro_" + _UNSAFE.sub("_", path)
         seen = used.get(base, 0)
         used[base] = seen + 1
         names[path] = base if seen == 0 else f"{base}_{seen + 1}"
@@ -81,17 +79,15 @@ def _escape_label(value: str) -> str:
     )
 
 
-def prometheus_text(registry: MetricsRegistry, prefix: str = "",
-                    name_prefix: str = "repro_") -> str:
+def prometheus_text(registry: MetricsRegistry) -> str:
     """The registry in the Prometheus text exposition format.
 
-    ``prefix`` restricts to one component subtree (same semantics as
-    ``snapshot_bytes``); ``name_prefix`` namespaces the generated family
-    names. Families appear in sorted-path order; histogram buckets are
-    cumulative with a closing ``le="+Inf"`` as the format requires.
+    Family names carry a ``repro_`` namespace. Families appear in
+    sorted-path order; histogram buckets are cumulative with a closing
+    ``le="+Inf"`` as the format requires.
     """
-    paths = registry.paths(prefix)
-    names = _family_names(paths, name_prefix)
+    paths = registry.paths()
+    names = _family_names(paths)
     lines: List[str] = []
     for path in paths:
         metric = registry.get(path)
@@ -139,10 +135,10 @@ PromSample = Tuple[str, Dict[str, str], float]
 class PromFamily:
     """One ``# TYPE`` family: its type, help text, and samples."""
 
-    def __init__(self, name: str, kind: str = "untyped", help: str = ""):
+    def __init__(self, name: str):
         self.name = name
-        self.kind = kind
-        self.help = help
+        self.kind = "untyped"
+        self.help = ""
         self.samples: List[PromSample] = []
         #: sample name -> (exemplar labels, exemplar value) for samples
         #: carrying an OpenMetrics ``# {...} value`` exemplar suffix.
@@ -233,23 +229,23 @@ def parse_prometheus_text(text: str) -> Dict[str, PromFamily]:
 
 # -- Chrome trace events -----------------------------------------------------
 
-def trace_events(tracer: Tracer, pid: int = 1,
-                 process_name: str = "hyperion-sim") -> List[Dict[str, Any]]:
+def trace_events(tracer: Tracer) -> List[Dict[str, Any]]:
     """The tracer's span trees as trace-event dicts.
 
     Every span becomes one complete event (``"ph": "X"``) with
-    microsecond ``ts``/``dur`` on a single thread track, so the viewer
+    microsecond ``ts``/``dur`` on one thread track of the
+    ``hyperion-sim`` process (pid 1), so the viewer
     reconstructs nesting from time containment exactly as the tracer
     built it from the simulated clock. ``cat`` carries the substrate,
     ``args`` the span attributes plus the tree depth.
     """
     events: List[Dict[str, Any]] = [
         {
-            "ph": "M", "name": "process_name", "pid": pid, "tid": 0,
-            "args": {"name": process_name},
+            "ph": "M", "name": "process_name", "pid": 1, "tid": 0,
+            "args": {"name": "hyperion-sim"},
         },
         {
-            "ph": "M", "name": "thread_name", "pid": pid, "tid": 1,
+            "ph": "M", "name": "thread_name", "pid": 1, "tid": 1,
             "args": {"name": "simulated-datapath"},
         },
     ]
@@ -272,7 +268,7 @@ def trace_events(tracer: Tracer, pid: int = 1,
             "cat": span.substrate or "sim",
             "ts": start,
             "dur": end - start,
-            "pid": pid,
+            "pid": 1,
             "tid": 1,
             "args": args,
         })
@@ -284,9 +280,7 @@ def trace_events(tracer: Tracer, pid: int = 1,
     return events
 
 
-def chrome_trace_json(tracer: Tracer, pid: int = 1,
-                      process_name: str = "hyperion-sim",
-                      indent: Optional[int] = None) -> str:
+def chrome_trace_json(tracer: Tracer) -> str:
     """The tracer serialized as a ``chrome://tracing``/Perfetto JSON blob.
 
     Canonical: keys sorted, events in depth-first root order, floats via
@@ -294,118 +288,6 @@ def chrome_trace_json(tracer: Tracer, pid: int = 1,
     """
     payload = {
         "displayTimeUnit": "ns",
-        "traceEvents": trace_events(tracer, pid, process_name),
+        "traceEvents": trace_events(tracer),
     }
-    return json.dumps(payload, sort_keys=True, indent=indent)
-
-
-# -- distributed (multi-region) Chrome trace events --------------------------
-
-def _span_region(span: Span, default: str) -> str:
-    """The span's region: its own ``region`` attr or the nearest
-    ancestor's (the client side of a geo trace has none)."""
-    node: Optional[Span] = span
-    while node is not None:
-        region = node.attrs.get("region")
-        if region is not None:
-            return str(region)
-        node = node.parent
-    return default
-
-
-def distributed_trace_events(tracer: Tracer,
-                             default_region: str = "client"
-                             ) -> List[Dict[str, Any]]:
-    """Distributed traces as trace-event dicts, one pid per region.
-
-    Spans are grouped onto per-region process tracks (``region`` span
-    attributes, inherited downward; region-less prefixes land on
-    ``default_region``), and every cross-region parent/child edge — an
-    RPC hop whose ``rpc.handle`` executed in another region than its
-    caller — emits a flow-event pair (``"ph": "s"`` at the caller,
-    ``"ph": "f"`` at the callee) so viewers draw the causal arrow
-    across tracks. Deterministic: pids follow sorted region names,
-    flow ids follow depth-first visit order.
-    """
-    regions: List[str] = []
-    seen = set()
-
-    def collect(span: Span, inherited: str) -> None:
-        region = str(span.attrs.get("region", inherited))
-        if region not in seen:
-            seen.add(region)
-            regions.append(region)
-        for child in span.children:
-            collect(child, region)
-
-    for root in tracer.roots:
-        collect(root, default_region)
-    pids = {region: pid for pid, region in enumerate(sorted(regions), 1)}
-
-    events: List[Dict[str, Any]] = []
-    for region in sorted(regions):
-        events.append({
-            "ph": "M", "name": "process_name", "pid": pids[region],
-            "tid": 0, "args": {"name": f"region {region}"},
-        })
-        events.append({
-            "ph": "M", "name": "thread_name", "pid": pids[region],
-            "tid": 1, "args": {"name": "simulated-datapath"},
-        })
-
-    flow_ids = 0
-
-    def emit(span: Span, depth: int, parent_end: Optional[float],
-             inherited: str, parent_pid: Optional[int],
-             parent_start: Optional[float]) -> None:
-        nonlocal flow_ids
-        region = str(span.attrs.get("region", inherited))
-        pid = pids[region]
-        args: Dict[str, Any] = {
-            key: str(value) for key, value in sorted(span.attrs.items())
-        }
-        args["depth"] = depth
-        if span.trace_id:
-            args["trace_id"] = span.trace_id
-        start = span.start * 1e6
-        end = start + span.duration * 1e6
-        if parent_end is not None and end > parent_end:
-            end = parent_end
-        if parent_pid is not None and parent_pid != pid:
-            # The hop crossed regions: tie the tracks together.
-            flow_ids += 1
-            events.append({
-                "ph": "s", "id": flow_ids, "name": "rpc-hop", "cat": "flow",
-                "pid": parent_pid, "tid": 1, "ts": parent_start,
-            })
-            events.append({
-                "ph": "f", "bp": "e", "id": flow_ids, "name": "rpc-hop",
-                "cat": "flow", "pid": pid, "tid": 1, "ts": start,
-            })
-        events.append({
-            "ph": "X",
-            "name": span.name,
-            "cat": span.substrate or "sim",
-            "ts": start,
-            "dur": end - start,
-            "pid": pid,
-            "tid": 1,
-            "args": args,
-        })
-        for child in span.children:
-            emit(child, depth + 1, end, region, pid, start)
-
-    for root in tracer.roots:
-        emit(root, 0, None, default_region, None, None)
-    return events
-
-
-def distributed_chrome_trace_json(tracer: Tracer,
-                                  default_region: str = "client",
-                                  indent: Optional[int] = None) -> str:
-    """:func:`distributed_trace_events` as a canonical JSON blob."""
-    payload = {
-        "displayTimeUnit": "ns",
-        "traceEvents": distributed_trace_events(tracer, default_region),
-    }
-    return json.dumps(payload, sort_keys=True, indent=indent)
+    return json.dumps(payload, sort_keys=True)

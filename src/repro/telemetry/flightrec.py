@@ -51,13 +51,11 @@ DUMP_TRACE_TAIL = 4
 class FlightRecorder:
     """Bounded journal + sampled-trace ring + post-mortem dumps."""
 
-    def __init__(self, clock, journal_limit: int = JOURNAL_LIMIT,
-                 trace_limit: int = TRACE_LIMIT,
-                 dump_limit: int = DUMP_LIMIT):
+    def __init__(self, clock, journal_limit: int = JOURNAL_LIMIT):
         self.clock = clock
         self.journal = deque(maxlen=journal_limit)  # (at, source, line)
-        self.traces = deque(maxlen=trace_limit)     # sampled root Spans
-        self.dumps: deque = deque(maxlen=dump_limit)  # (trigger, bytes)
+        self.traces = deque(maxlen=TRACE_LIMIT)     # sampled root Spans
+        self.dumps: deque = deque(maxlen=DUMP_LIMIT)  # (trigger, bytes)
         self.recorded = 0
 
     # -- recording -----------------------------------------------------------
@@ -77,10 +75,6 @@ class FlightRecorder:
             f"{at:.9f} [{source}] {line}"
             for at, source, line in self.journal
         ]
-
-    def journal_bytes(self) -> bytes:
-        """The current journal ring as canonical bytes."""
-        return "\n".join(self.journal_lines()).encode()
 
     # -- post-mortem dumps ---------------------------------------------------
     def dump(self, trigger: str) -> bytes:

@@ -165,18 +165,11 @@ class Histogram(Metric):
 
     kind = "histogram"
 
-    def __init__(self, name: str, buckets: Sequence[float] = DEFAULT_BUCKETS):
+    def __init__(self, name: str):
         super().__init__(name)
-        bounds = tuple(buckets)
-        if not bounds or any(
-            b2 <= b1 for b1, b2 in zip(bounds, bounds[1:])
-        ):
-            raise ConfigurationError(
-                f"histogram {name} needs strictly increasing bucket bounds"
-            )
-        self.bounds = bounds
+        self.bounds = DEFAULT_BUCKETS
         #: counts[i] = samples <= bounds[i]; counts[-1] = overflow.
-        self._counts = [0] * (len(bounds) + 1)
+        self._counts = [0] * (len(DEFAULT_BUCKETS) + 1)
         self._samples: List[float] = []
         self._sum = 0.0
         # Lazy-materialization cursors: samples[:_binned] are reflected
@@ -369,11 +362,9 @@ class MetricScope:
         """The gauge at ``prefix.name`` (created on first use)."""
         return self.registry.gauge(self._path(name))
 
-    def histogram(
-        self, name: str, buckets: Sequence[float] = DEFAULT_BUCKETS
-    ) -> Histogram:
+    def histogram(self, name: str) -> Histogram:
         """The histogram at ``prefix.name`` (created on first use)."""
-        return self.registry.histogram(self._path(name), buckets)
+        return self.registry.histogram(self._path(name))
 
     def scope(self, sub: str) -> "MetricScope":
         """A child scope at ``prefix.sub``, over the same registry."""
@@ -398,7 +389,7 @@ class MetricsRegistry:
         self._claimed: Dict[str, int] = {}  # base prefix -> instances seen
 
     # -- registration --------------------------------------------------------
-    def _get_or_create(self, path: str, cls: Type[Metric], *args) -> Metric:
+    def _get_or_create(self, path: str, cls: Type[Metric]) -> Metric:
         if not path:
             raise ConfigurationError("metric path cannot be empty")
         existing = self._metrics.get(path)
@@ -408,7 +399,7 @@ class MetricsRegistry:
                     f"{path} already registered as {existing.kind}"
                 )
             return existing
-        metric = cls(path, *args)
+        metric = cls(path)
         self._metrics[path] = metric
         return metric
 
@@ -420,9 +411,7 @@ class MetricsRegistry:
         """The gauge at *path* (created on first use)."""
         return self._get_or_create(path, Gauge)
 
-    def histogram(
-        self, path: str, buckets: Sequence[float] = DEFAULT_BUCKETS
-    ) -> Histogram:
+    def histogram(self, path: str) -> Histogram:
         """The histogram at *path* (created on first use)."""
         return self._get_or_create(path, Histogram)
 
@@ -498,11 +487,11 @@ class MetricsRegistry:
         lines = [metric.snapshot_line() for metric in self.walk(prefix)]
         return "\n".join(lines).encode()
 
-    def render(self, prefix: str = "") -> str:
+    def render(self) -> str:
         """Human-readable metric tree, indented by path depth."""
         lines: List[str] = []
         previous: Tuple[str, ...] = ()
-        for path in self.paths(prefix):
+        for path in self.paths():
             parts = tuple(path.split("."))
             # Print any new ancestor groups this path introduces.
             common = 0

@@ -148,13 +148,12 @@ class Sampler:
     """
 
     def __init__(self, registry: MetricsRegistry, clock,
-                 period: float = 1e-3, capacity: int = 1024):
+                 period: float = 1e-3):
         if period <= 0:
             raise ConfigurationError("sampler period must be positive")
         self.registry = registry
         self.clock = clock
         self.period = period
-        self.capacity = capacity
         self.ticks = 0
         self.on_sample: List[Callable[[float], None]] = []
         self._watched: List[str] = []
@@ -186,7 +185,7 @@ class Sampler:
     def _series_for(self, name: str) -> Series:
         series = self._series.get(name)
         if series is None:
-            series = Series(name, self.capacity)
+            series = Series(name)
             self._series[name] = series
         return series
 

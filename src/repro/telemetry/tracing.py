@@ -159,7 +159,7 @@ NULL_SPAN = _NullSpan()
 
 
 class TraceContext:
-    """One sampled flow: identity, sampling decision, and open-span stack.
+    """One sampled flow: identity and open-span stack.
 
     Carried on :class:`~repro.transport.RpcRequest` (and on replication
     log entries) to propagate causality across RPC, shard, and WAN hops.
@@ -168,12 +168,11 @@ class TraceContext:
     free.
     """
 
-    __slots__ = ("tracer", "trace_id", "sampled", "stack", "_spans")
+    __slots__ = ("tracer", "trace_id", "stack", "_spans")
 
-    def __init__(self, tracer: "Tracer", trace_id: str, sampled: bool = True):
+    def __init__(self, tracer: "Tracer", trace_id: str):
         self.tracer = tracer
         self.trace_id = trace_id
-        self.sampled = sampled
         #: This flow's open spans, innermost last.
         self.stack: List[Span] = []
         self._spans = 0
@@ -251,14 +250,6 @@ class Tracer:
     def disable(self) -> "Tracer":
         """Stop recording; finished spans are kept, new ones ignored."""
         self.enabled = False
-        return self
-
-    def reset(self) -> "Tracer":
-        """Drop all recorded spans, flows, and sampling state; returns self."""
-        self.roots = []
-        self._active = None
-        self._ambient = None
-        self._flows = 0
         return self
 
     # -- flows ---------------------------------------------------------------
@@ -381,7 +372,7 @@ class Tracer:
         if span.parent is None:
             if self._active is context:
                 self._active = None
-            if context is not None and context.sampled:
+            if context is not None:
                 recorder = getattr(self.clock, "recorder", None)
                 if recorder is not None:
                     recorder.record_trace(span)

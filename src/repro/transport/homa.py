@@ -41,11 +41,9 @@ class _HomaGrant:
 class HomaSocket:
     """A message-oriented endpoint with unscheduled/scheduled transmission."""
 
-    def __init__(self, sim: Simulator, port: NetworkPort,
-                 rtt_bytes: int = RTT_BYTES):
+    def __init__(self, sim: Simulator, port: NetworkPort):
         self.sim = sim
         self.port = port
-        self.rtt_bytes = rtt_bytes
         self.rx: Store = Store(sim)
         self._grants: Dict[int, Event] = {}
         self._incoming: Dict[Tuple[str, int], int] = {}  # received byte counts
@@ -65,7 +63,7 @@ class HomaSocket:
         mtu = MAX_FRAME_PAYLOAD - HOMA_HEADER
         sent = 0
         # Unscheduled region: fire immediately.
-        unscheduled = min(size, self.rtt_bytes)
+        unscheduled = min(size, RTT_BYTES)
         first = True
         while sent < unscheduled or first:
             chunk = min(mtu, max(0, unscheduled - sent)) if not first else min(mtu, max(1, unscheduled))
@@ -115,8 +113,8 @@ class HomaSocket:
             self._incoming[key] = received
             # Issue a grant once the unscheduled region has landed.
             if (
-                message.total_size > self.rtt_bytes
-                and received >= min(self.rtt_bytes, message.total_size)
+                message.total_size > RTT_BYTES
+                and received >= min(RTT_BYTES, message.total_size)
                 and received < message.total_size
                 and key not in self._granted
             ):

@@ -135,9 +135,10 @@ class CheckResult:
         return [result.line() for result in self.keys]
 
 
-def _search(entries: List[_Entry], initial: Optional[bytes],
+def _search(entries: List[_Entry],
             budget: List[int]) -> Optional[List[int]]:
-    """One Wing & Gong search; a linearization (entry indexes) or None."""
+    """One Wing & Gong search from an absent (``None``) register; a
+    linearization (entry indexes) or None."""
     count = len(entries)
     if count == 0:
         return []
@@ -195,7 +196,7 @@ def _search(entries: List[_Entry], initial: Optional[bytes],
         return False
 
     full = (1 << count) - 1
-    if recurse(full, initial):
+    if recurse(full, None):
         return list(order)
     return None
 
@@ -216,13 +217,13 @@ def _prefix_at(entries: List[_Entry], cutoff: float) -> List[_Entry]:
     return prefix
 
 
-def check_register(ops: Iterable[Op], *, initial: Optional[bytes] = None,
+def check_register(ops: Iterable[Op], *,
                    max_states: int = DEFAULT_MAX_STATES,
                    key: bytes = b"") -> KeyResult:
     """Check one key's ops against the sequential register model."""
     entries = _entries(ops)
     budget = [max_states]
-    order = _search(entries, initial, budget)
+    order = _search(entries, budget)
     states = max_states - budget[0]
     if order is not None:
         return KeyResult(key, True, len(entries), states,
@@ -234,7 +235,7 @@ def check_register(ops: Iterable[Op], *, initial: Optional[bytes] = None,
     witness = None
     for cutoff in sorted({e.ret for e in entries if math.isfinite(e.ret)}):
         prefix = _prefix_at(entries, cutoff)
-        if _search(prefix, initial, [max_states]) is None:
+        if _search(prefix, [max_states]) is None:
             closers = [e.op for e in entries if e.ret == cutoff]
             witness = min(closers, key=lambda op: op.index)
             break
@@ -243,9 +244,6 @@ def check_register(ops: Iterable[Op], *, initial: Optional[bytes] = None,
 
 def check_history(
     history: Union[HistoryRecorder, Iterable[Op]],
-    *,
-    initial: Optional[bytes] = None,
-    max_states: int = DEFAULT_MAX_STATES,
 ) -> CheckResult:
     """Check a whole multi-key history, one register search per key.
 
@@ -260,8 +258,7 @@ def check_history(
     results = []
     total_states = 0
     for key in sorted(grouped):
-        result = check_register(grouped[key], initial=initial,
-                                max_states=max_states, key=key)
+        result = check_register(grouped[key], key=key)
         total_states += result.states
         results.append(result)
     ok = all(result.ok for result in results)

@@ -127,12 +127,11 @@ def _primary_edges(regions: Sequence[str], primary: str):
 
 
 def primary_kill_plan(seed: int, regions: Sequence[str], primary: str,
-                      start: float, end: float,
-                      prefix: str = "kill") -> FaultPlan:
+                      start: float, end: float) -> FaultPlan:
     """Symmetrically cut every WAN edge of *primary* over one window."""
     plan = FaultPlan(seed=seed)
     for src, dst in _primary_edges(regions, primary):
-        plan.wan_partition(f"{prefix}-{src}-{dst}", src, dst, start, end)
+        plan.wan_partition(f"kill-{src}-{dst}", src, dst, start, end)
     return plan
 
 

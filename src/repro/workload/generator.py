@@ -226,11 +226,9 @@ class ClosedLoopTraffic(_TrafficBase):
 
     def __init__(self, sim, spec: WorkloadSpec, clients: Dict[str, object],
                  seed: int, horizon: float, *,
-                 population: int = 64, think: float = 0.001,
-                 deadline: Optional[float] = None,
-                 scope: str = "workload.closed") -> None:
+                 population: int = 64, think: float = 0.001) -> None:
         super().__init__(sim, spec, clients, seed, horizon,
-                         deadline=deadline, scope=scope)
+                         scope="workload.closed")
         if population < len(spec.tenants):
             raise ValueError("population must cover every tenant")
         if think < 0:

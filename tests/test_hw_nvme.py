@@ -5,7 +5,6 @@ import pytest
 from repro.common.errors import CapacityError, ProtocolError
 from repro.hw.nvme import (
     FlashArray,
-    FlashTiming,
     LBA_SIZE,
     Namespace,
     NvmeCommand,
@@ -14,6 +13,11 @@ from repro.hw.nvme import (
     NvmeStatus,
     ZonedNamespace,
     ZoneState,
+)
+from repro.hw.nvme.flash import (
+    FLASH_ERASE_LATENCY,
+    FLASH_PROGRAM_LATENCY,
+    FLASH_READ_LATENCY,
 )
 from repro.sim import Simulator
 
@@ -53,8 +57,7 @@ class TestNamespace:
 
 class TestFlashTiming:
     def test_read_faster_than_program(self):
-        timing = FlashTiming()
-        assert timing.read_latency < timing.program_latency < timing.erase_latency
+        assert FLASH_READ_LATENCY < FLASH_PROGRAM_LATENCY < FLASH_ERASE_LATENCY
 
     def test_parallel_reads_across_dies(self):
         sim = Simulator()
@@ -120,9 +123,8 @@ class TestController:
             return sim.now
 
         elapsed = sim.run_process(scenario())
-        timing = ssd.flash.timing
-        assert elapsed >= timing.read_latency
-        assert elapsed < timing.read_latency * 2
+        assert elapsed >= FLASH_READ_LATENCY
+        assert elapsed < FLASH_READ_LATENCY * 2
 
     def test_queue_parallelism_beats_serial(self):
         """Deep queues exploit die parallelism (why NVMe queues exist)."""

@@ -11,6 +11,7 @@ from repro.hw.pcie import (
     PcieLink,
     RootComplex,
 )
+from repro.hw.pcie.dma import DMA_SETUP_LATENCY
 from repro.sim import Simulator
 
 
@@ -136,7 +137,7 @@ class TestDma:
             return sim.now
 
         elapsed = sim.run_process(scenario())
-        assert elapsed == pytest.approx(dma.setup_latency + link.transfer_latency(4096))
+        assert elapsed == pytest.approx(DMA_SETUP_LATENCY + link.transfer_latency(4096))
         assert dma.copies_completed == 1
 
     def test_channels_limit_concurrency(self):

@@ -5,6 +5,7 @@ import pytest
 from repro.common.errors import CapacityError
 from repro.hw.fpga.fabric import MemoryBank
 from repro.hw.nvme import Namespace, NvmeController
+from repro.hw.nvme.flash import FLASH_PROGRAM_LATENCY, FLASH_READ_LATENCY
 from repro.hw.nvme.namespace import LBA_SIZE
 from repro.memory import DramBackend, NvmeBackend
 from repro.sim import Simulator
@@ -104,8 +105,7 @@ class TestNvmeBackend:
             return sim.now
 
         elapsed = sim.run_process(scenario())
-        timing = nvme.controller.flash.timing
-        assert elapsed >= timing.program_latency + timing.read_latency
+        assert elapsed >= FLASH_PROGRAM_LATENCY + FLASH_READ_LATENCY
 
 
 class TestEvalMain:

@@ -5,6 +5,8 @@ live migration (join + drain) under concurrent client traffic."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.hw.net import Network
@@ -79,19 +81,38 @@ def test_virtual_nodes_bound_skew():
     assert coarse.skew(KEYS) > ring.skew(KEYS)
 
 
-def test_node_removal_only_moves_the_removed_nodes_keys():
-    ring = HashRing()
-    for index in range(4):
-        ring.add_node(f"dpu-{index}")
-    before = {key: ring.owner_of(key) for key in KEYS}
-    moved = HashRing.moved_keys(ring, ring.without_node("dpu-2"), KEYS)
-    # Consistent hashing's contract: only keys owned by the removed
-    # node change owner.
-    assert moved
-    assert all(old == "dpu-2" for __, old, __new in moved)
-    survivors = [key for key in KEYS if before[key] != "dpu-2"]
-    after = ring.without_node("dpu-2")
-    assert all(after.owner_of(key) == before[key] for key in survivors)
+_NODE_NAMES = st.text(alphabet="abcdefgh0123456789-", min_size=1,
+                      max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    nodes=st.lists(_NODE_NAMES, min_size=2, max_size=8, unique=True),
+    data=st.data(),
+)
+def test_node_removal_only_moves_the_removed_nodes_keys(nodes, data):
+    # Consistent hashing's contract, both ways: removing a node moves
+    # only the keys it owned, and adding a node moves keys only onto it.
+    keys = KEYS[:400]
+    ring = HashRing(nodes)
+    before = {key: ring.owner_of(key) for key in keys}
+
+    removed = data.draw(st.sampled_from(nodes), label="removed")
+    after = ring.without_node(removed)
+    moved = HashRing.moved_keys(ring, after, keys)
+    assert all(old == removed for __, old, __new in moved)
+    assert {key for key, __, __new in moved} == {
+        key for key in keys if before[key] == removed
+    }
+
+    added = data.draw(_NODE_NAMES.filter(lambda n: n not in nodes),
+                      label="added")
+    grown = ring.with_node(added)
+    moved = HashRing.moved_keys(ring, grown, keys)
+    assert all(new == added for __, __old, new in moved)
+    assert {key for key, __, __new in moved} == {
+        key for key in keys if grown.owner_of(key) == added
+    }
 
 
 def test_replicas_are_distinct_and_clockwise_stable():
@@ -190,6 +211,35 @@ def test_call_batch_runs_every_op_in_one_round_trip():
     assert server.requests_served == 1
     assert server.batches_served == 1
     assert server.batched_ops == 3
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "get_many/put_many call call_batch without the client's timeout, "
+    "retries or deadline, so a batch to a dead owner never resolves"
+))
+def test_get_many_times_out_like_get_on_a_dead_owner():
+    sim = Simulator()
+    cluster = ShardedKvCluster(sim, Network(sim), dpu_count=2)
+    client = ShardedKvClient(sim, cluster, name="c", timeout=1e-3,
+                             retries=0)
+    owner = cluster.owner_of(KEYS[0])
+    same_owner = [key for key in KEYS if cluster.owner_of(key) == owner][:2]
+    cluster.network.switch.blackhole(owner)
+    failed_at = {}
+
+    def read(name, op):
+        try:
+            yield from op
+        except RpcError:
+            failed_at[name] = sim.now
+
+    sim.process(read("get", client.get(same_owner[0])))
+    sim.process(read("get_many", client.get_many(same_owner)))
+    sim.run(until=1.0)
+    # A single-key get gives up after one 1 ms timeout...
+    assert failed_at["get"] == pytest.approx(1e-3, rel=1e-3)
+    # ...and a batch to the same dead owner must too.
+    assert failed_at.get("get_many") == pytest.approx(1e-3, rel=1e-3)
 
 
 def test_call_batch_validates_size():

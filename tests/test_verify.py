@@ -4,6 +4,7 @@ shrinking, the nemesis plan generators, and a bounded slice of the E19
 harness (one chaos-search schedule plus the planted-bug demonstration).
 """
 
+import itertools
 import math
 import os
 import subprocess
@@ -11,6 +12,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import ConfigurationError
 from repro.eval.verify import (
@@ -230,6 +233,66 @@ class TestCheckHistory:
 # ---------------------------------------------------------------------------
 # cheap invariants
 # ---------------------------------------------------------------------------
+
+def _brute_force_linearizable(ops):
+    """Reference oracle: try every order of every admissible op set.
+
+    Failed ops and unacknowledged reads are dropped; acknowledged ops
+    must all be placed, indeterminate writes may be placed or left out.
+    An order is legal when no op completed before an earlier-placed op
+    was invoked, and every read returns the latest placed write
+    (``None`` before any write and after a delete).
+    """
+    kept = [op for op in ops if op.status is not OpStatus.FAIL
+            and (op.action != "r" or op.status is OpStatus.OK)]
+    required = [op for op in kept if op.status is OpStatus.OK]
+    optional = [op for op in kept if op.status is not OpStatus.OK]
+
+    def legal(order):
+        value = None
+        for position, op in enumerate(order):
+            if any(later.completed < op.invoked
+                   for later in order[position + 1:]):
+                return False
+            if op.action == "r":
+                if op.value != value:
+                    return False
+            else:
+                value = op.value if op.action == "w" else None
+        return True
+
+    for size in range(len(optional) + 1):
+        for chosen in itertools.combinations(optional, size):
+            if any(legal(order) for order in
+                   itertools.permutations(required + list(chosen))):
+                return True
+    return False
+
+
+@st.composite
+def _single_key_histories(draw):
+    values = st.sampled_from([b"a", b"b", b"c"])
+    ops = []
+    for index in range(draw(st.integers(1, 6))):
+        action = draw(st.sampled_from("rwd"))
+        invoked = float(draw(st.integers(0, 8)))
+        completed = invoked + float(draw(st.integers(0, 4)))
+        if action == "r":
+            value = draw(st.none() | values)
+            status = draw(st.sampled_from([OpStatus.OK, OpStatus.FAIL]))
+        else:
+            value = draw(values) if action == "w" else None
+            status = draw(st.sampled_from(
+                [OpStatus.OK, OpStatus.INDETERMINATE, OpStatus.FAIL]))
+        ops.append(_op(index, action, value, invoked, completed, status))
+    return ops
+
+
+@settings(max_examples=400, deadline=None)
+@given(ops=_single_key_histories())
+def test_checker_agrees_with_brute_force_enumeration(ops):
+    assert check_history(ops).ok == _brute_force_linearizable(ops)
+
 
 def _recorded(ops):
     recorder = HistoryRecorder(_Clock())
